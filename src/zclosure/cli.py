@@ -36,7 +36,7 @@ from .jsonio import (
     matrix_from_json,
     matrix_to_json,
 )
-from .poly import groebner, Ideal
+from .poly import Ideal
 from .relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
 from .structure import jordan_chevalley, rational_eigenvalues
 from ._rat import rat
@@ -53,7 +53,7 @@ def _load_json(source: str):
 
 
 def _reduced(ideal: Ideal) -> Ideal:
-    return Ideal(ideal.arity, groebner(ideal.generators))
+    return Ideal(ideal.arity, ideal.groebner())
 
 
 def _ideal_text_lines(obj):
@@ -274,7 +274,7 @@ def cli_main(argv=None) -> int:
     except ResourceLimit as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 3
-    except (ZClosureError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as err:
+    except (ZClosureError, ValueError, KeyError, TypeError, ZeroDivisionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.format == "json":

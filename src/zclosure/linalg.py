@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the rationals and integer lattice kernels.
 
 Matrices are immutable, entries are reduced fractions, and every operation
-is exact.  Pivot selection is always "first nonzero" so results are
-reproducible across runs.
+is exact.  One incremental echelon form, EchelonBasis, serves rref, rank,
+kernels and inverses (det keeps its own loop for the pivot product);
+row_hnf serves integer kernels.
 """
 
 from .errors import SingularMatrix
@@ -194,53 +195,33 @@ class QMatrix:
         return det
 
     def inverse(self):
-        """Exact inverse; raises SingularMatrix when det = 0."""
+        """Exact inverse; raises SingularMatrix when det = 0.
+
+        The rref of [A | I] is [I | A^-1] exactly when A is invertible.
+        """
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         aug = [list(self.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for c in range(n):
-            pivot = next((r for r in range(c, n) if aug[r][c]), None)
-            if pivot is None:
-                raise SingularMatrix("matrix is singular")
-            if pivot != c:
-                aug[c], aug[pivot] = aug[pivot], aug[c]
-            inv = ONE / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            prow = aug[c]
-            for r in range(n):
-                if r != c and aug[r][c]:
-                    f = aug[r][c]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
-        return QMatrix.from_rows([row[n:] for row in aug])
+        red, pivots = QMatrix.from_rows(aug).rref()
+        if pivots != list(range(n)):
+            raise SingularMatrix("matrix is singular")
+        return QMatrix.from_rows([red.row(i)[n:] for i in range(n)])
+
+    def _echelon(self):
+        echelon = EchelonBasis(self.cols)
+        for i in range(self.rows):
+            echelon.insert(self.row(i))
+        return echelon
 
     def rref(self):
-        """Reduced row echelon form and its pivot columns (first-nonzero pivots)."""
-        m = self.row_lists()
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-            if pivot is None:
-                continue
-            if pivot != r:
-                m[r], m[pivot] = m[pivot], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            prow = m[r]
-            for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], prow)]
-            pivots.append(c)
-            r += 1
-        return QMatrix.from_rows(m) if m else QMatrix.zero(0, ncols), pivots
+        """Reduced row echelon form and its pivot columns."""
+        pivots, rows = self._echelon().rref_rows()
+        rows += [[ZERO] * self.cols] * (self.rows - len(rows))
+        return QMatrix(self.rows, self.cols, [e for r in rows for e in r]), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(self._echelon())
 
     def kernel_basis(self):
         """Basis of the right null space, as column vectors.
@@ -248,17 +229,7 @@ class QMatrix:
         The basis comes from the rref free-variable parametrization, so it is
         deterministic; the count is cols - rank.
         """
-        red, pivots = self.rref()
-        ncols = self.cols
-        free = [c for c in range(ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [ZERO] * ncols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r, fc]
-            basis.append(QMatrix.column(v))
-        return basis
+        return [QMatrix.column(v) for v in self._echelon().kernel()]
 
 
 def matrix_height(m: QMatrix) -> int:
@@ -363,35 +334,14 @@ def row_hnf(rows):
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Basis of {k in Z^cols : m @ k = 0}, as rows of the result.
 
-    Row-reduces [m^T | I] with unimodular operations; rows whose left block
-    vanishes carry a kernel basis in the right block, so the basis is
-    saturated (every integer kernel vector is an integer combination).
+    The HNF of [m^T | I] keeps the unimodular transform in its right block;
+    its rows with a vanishing left block are the HNF of the kernel lattice,
+    so the basis is saturated (every integer kernel vector is an integer
+    combination).
     """
     n, c = m.rows, m.cols
     aug = [[m[i, j] for i in range(n)] + [1 if t == j else 0 for t in range(c)] for j in range(c)]
-    r = 0
-    for col in range(n):
-        while True:
-            live = [i for i in range(r, c) if aug[i][col]]
-            if not live:
-                break
-            best = min(live, key=lambda i: (abs(aug[i][col]), i))
-            aug[r], aug[best] = aug[best], aug[r]
-            done = True
-            for i in range(r + 1, c):
-                if aug[i][col]:
-                    q = aug[i][col] // aug[r][col]
-                    aug[i] = [a - q * b for a, b in zip(aug[i], aug[r])]
-                    if aug[i][col]:
-                        done = False
-            if done:
-                break
-        if r < c and aug[r][col]:
-            r += 1
-            if r == c:
-                break
-    kernel_rows = [row[n:] for row in aug[r:] if not any(row[:n])]
-    basis = row_hnf(kernel_rows)
+    basis = [row[n:] for row in row_hnf(aug) if not any(row[:n])]
     return IntMatrix.from_rows(basis) if basis else IntMatrix(0, c, [])
 
 
@@ -447,15 +397,18 @@ class EchelonBasis:
     def contains(self, vector):
         return all(not x for x in self.reduce(vector))
 
+    def rref_rows(self):
+        """Pivot columns in ascending order and the rref rows they belong to."""
+        pivots = sorted(self._pivot_of)
+        return pivots, [self.rows[self._pivot_of[p]] for p in pivots]
+
     def kernel(self):
         """Basis of {c : c . v = 0 for every v in the span}, as lists.
 
-        Equivalent to kernel_basis of the row matrix, but reuses the
-        already-echelonized rows.
+        The free-variable parametrization of the rref rows, so it equals
+        QMatrix.kernel_basis of the inserted rows.
         """
-        pivots = sorted(self._pivot_of)
-        order = [self._pivot_of[p] for p in pivots]
-        red = [self.rows[i] for i in order]
+        pivots, red = self.rref_rows()
         free = [c for c in range(self.length) if c not in self._pivot_of]
         basis = []
         for fc in free:

@@ -482,7 +482,13 @@ class Ideal:
 
 
 def eliminate(ideal, drop_first_k, budget=DEFAULT_BUDGET):
-    """Generators of ideal ∩ K[x_{k+1}, ..] as an Ideal in arity - k variables."""
+    """Generators of ideal ∩ K[x_{k+1}, ..] as an Ideal in arity - k variables.
+
+    The kept elements of the reduced elimination-order basis are the reduced
+    grevlex basis of the result (the order restricts to grevlex on the kept
+    variables, with the same monic scaling and sort order), so they seed the
+    result's GREVLEX cache.
+    """
     k = drop_first_k
     if not 0 <= k < ideal.arity:
         raise ValueError("must keep at least one variable")
@@ -493,7 +499,9 @@ def eliminate(ideal, drop_first_k, budget=DEFAULT_BUDGET):
     for g in gb:
         if all(not any(m[:k]) for m in g.terms):
             kept.append(Poly(ideal.arity - k, {m[k:]: c for m, c in g.terms.items()}))
-    return Ideal(ideal.arity - k, kept)
+    result = Ideal(ideal.arity - k, kept)
+    result._gb[GREVLEX] = tuple(kept)
+    return result
 
 
 def ideal_member(f, ideal, budget=DEFAULT_BUDGET):

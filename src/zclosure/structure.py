@@ -10,7 +10,7 @@ polynomial one-parameter subgroup through a unipotent matrix.
 import math
 
 from .errors import NotUnipotent, SingularMatrix, UnsupportedEigenvalues
-from .linalg import QMatrix, EchelonBasis
+from .linalg import QMatrix
 from .poly import Poly, derivative, uni_divmod, uni_gcd
 from ._rat import RAT, ZERO, ONE, rat
 
@@ -71,33 +71,21 @@ def char_poly(g: QMatrix) -> Poly:
 
 
 def min_poly(g: QMatrix) -> Poly:
-    """Monic generator of the annihilating ideal of g."""
+    """Monic generator of the annihilating ideal of g.
+
+    By Cayley-Hamilton vec(I), vec(g), ..., vec(g^n) are dependent; the first
+    free column k of their rref is the degree, and its kernel vector, which
+    is 1 at k and 0 past it, holds the coefficients.
+    """
     if not g.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = g.rows
-    basis = EchelonBasis(n * n)
     powers = [QMatrix.identity(n)]
-    basis.insert(list(powers[0].entries))
-    while True:
-        nxt = powers[-1] * g
-        if not basis.insert(list(nxt.entries)):
-            break
-        powers.append(nxt)
-    k = len(powers)
-    # solve sum c_i g^i = g^k exactly
-    rows = [[p.entries[j] for p in powers] for j in range(n * n)]
-    target = (powers[-1] * g).entries
-    aug = QMatrix.from_rows([rows[j] + [target[j]] for j in range(n * n)])
-    red, pivots = aug.rref()
-    sol = [ZERO] * k
-    for r, pc in enumerate(pivots):
-        if pc < k:
-            sol[pc] = red[r, k]
-    terms = {(k,): ONE}
-    for i, c in enumerate(sol):
-        if c:
-            terms[(i,)] = -c
-    return Poly(1, terms)
+    for _ in range(n):
+        powers.append(powers[-1] * g)
+    columns = QMatrix(n * n, n + 1, [p.entries[j] for j in range(n * n) for p in powers])
+    coeffs = columns.kernel_basis()[0]
+    return Poly(1, {(i,): coeffs[i, 0] for i in range(n + 1)})
 
 
 def is_semisimple(g: QMatrix) -> bool:

@@ -9,9 +9,10 @@ from zclosure.affine import (
     run_program,
     strongest_invariant,
 )
+from zclosure.closure import implicitize
 from zclosure.errors import NonInvertibleUpdate
 from zclosure.linalg import QMatrix
-from zclosure.poly import Poly, ideal_member
+from zclosure.poly import GREVLEX, Poly, groebner, ideal_member
 from zclosure._rat import rat
 
 
@@ -110,3 +111,26 @@ class TestStrongestInvariant:
                     point = list(state) + start
                     for g in ideal.generators:
                         assert g.evaluate(point) == 0
+
+
+def shear_program():
+    # x := x + y, y := y + 1
+    return AffineProgram(2, [(qm([[1, 1], [0, 1]]), [rat(0), rat(1)])])
+
+
+class TestEliminationCache:
+    """eliminate seeds its result's grevlex cache; it must be the true basis."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: strongest_invariant(rotation_program(), 2),
+            lambda: strongest_invariant(shear_program(), 2),
+            lambda: implicitize([Poly.variable(0, 1) ** 2, Poly.variable(0, 1) ** 3], 1),
+        ],
+        ids=["rotation", "shear", "twisted-cubic"],
+    )
+    def test_seeded_basis_is_reduced_grevlex_basis(self, make):
+        ideal = make()
+        assert GREVLEX in ideal._gb
+        assert ideal.groebner() == groebner(ideal.generators)

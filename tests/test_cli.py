@@ -108,6 +108,33 @@ class TestClosureCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "closure",
+            "--generators",
+            json.dumps({"n": 1, "generators": [[["1/0"]]]}),
+            "--degree",
+            "1",
+        ],
+        ["relations", "--eigenvalues", '["1/0"]'],
+        [
+            "invariant",
+            "--program",
+            json.dumps({"num_vars": 1, "updates": [{"A": [["1"]], "b": ["1/0"]}]}),
+            "--degree",
+            "1",
+        ],
+    ],
+    ids=["closure", "relations", "invariant"],
+)
+def test_zero_denominator_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestInvariantCommand:
     def test_rotation(self, capsys, tmp_path):
         path = write(tmp_path, "rot.json", ROTATION_PROGRAM)

@@ -419,6 +419,22 @@ class TestAutoClosure:
         with pytest.raises(NoStabilization):
             auto_closure(sl2_generators(), 1)
 
+    @pytest.mark.parametrize(
+        "seed,gens",
+        [
+            (0, [qm([[1, 1], [0, 1]]), qm([[1, 0], [1, 1]])]),
+            (1, [QMatrix.diagonal([rat(2), rat(1, 2)])]),
+            (2, [qm([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), qm([[1, 0, 0], [0, 1, 1], [0, 0, 1]])]),
+            (3, [perm_matrix([1, 0, 2]), perm_matrix([0, 2, 1])]),
+            (4, [qm([[0, -1], [1, 0]])]),
+        ],
+        ids=["sl2", "torus", "heisenberg", "sym3", "rotation4"],
+    )
+    def test_vanishes_on_random_words(self, seed, gens):
+        G = GeneratorSet(gens)
+        res = auto_closure(G, 6)
+        assert random_words_vanish(res, G, random.Random(seed), count=100)
+
 
 class TestSchreier:
     def test_a3_from_s3(self):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from zclosure.errors import SingularMatrix
@@ -232,3 +233,64 @@ def test_two_by_two_inverse_roundtrip(entries):
         return
     assert m * m.inverse() == QMatrix.identity(2)
     assert m.inverse().inverse() == m
+
+
+# zero half the time, so pivots skip columns and rows arrive out of pivot order
+small_rationals = st.one_of(
+    st.just(rat(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3).map(rat)
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Rational matrices up to 4x5: sparse, and often rank-deficient.
+
+    Each row after the first may be replaced by a combination of the rows
+    above it, so zero, wide, tall and rank-deficient matrices all occur.
+    """
+    rows = draw(st.integers(1, 4))
+    cols = rows if square else draw(st.integers(1, 5))
+    m = [[draw(small_rationals) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            coeffs = [draw(small_rationals) for _ in range(i)]
+            m[i] = [sum((c * m[j][k] for j, c in enumerate(coeffs)), rat(0)) for k in range(cols)]
+    return QMatrix(rows, cols, [e for row in m for e in row])
+
+
+def to_sympy(m):
+    return sympy.Matrix(
+        m.rows,
+        m.cols,
+        [sympy.Rational(int(e.numerator), int(e.denominator)) for e in m.entries],
+    )
+
+
+def from_sympy(value):
+    if isinstance(value, sympy.MatrixBase):
+        return QMatrix(value.rows, value.cols, [from_sympy(e) for e in value])
+    return rat(int(value.p), int(value.q))
+
+
+class TestEchelonAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_rref_and_kernel(self, m):
+        red, pivots = m.rref()
+        sym_red, sym_pivots = to_sympy(m).rref()
+        assert red == from_sympy(sym_red)
+        assert pivots == list(sym_pivots)
+        kernel = m.kernel_basis()
+        assert len(kernel) == m.cols - len(pivots)
+        for v in kernel:
+            assert (m * v).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(square=True))
+    def test_inverse(self, m):
+        assert m.det() == from_sympy(to_sympy(m).det())
+        if not m.det():
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+        else:
+            assert m.inverse() == from_sympy(to_sympy(m).inv())

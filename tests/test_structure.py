@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zclosure.errors import NotUnipotent, SingularMatrix, UnsupportedEigenvalues
 from zclosure.linalg import QMatrix
-from zclosure.poly import Poly, derivative, uni_gcd
+from zclosure.poly import Poly, derivative, uni_divmod, uni_gcd
 from zclosure.structure import (
     char_poly,
     companion_matrix,
@@ -91,6 +92,34 @@ class TestMinPoly:
             from zclosure.poly import uni_divmod
 
             assert uni_divmod(char_poly(g), m)[1].is_zero()
+
+    @staticmethod
+    def check_min_poly(g):
+        m = min_poly(g)
+        assert m.terms[(m.total_degree(),)] == 1
+        assert eval_poly_at_matrix(m, g).is_zero()
+        assert uni_divmod(char_poly(g), m)[1].is_zero()
+        return m
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+    def test_integer_matrices(self, entries):
+        self.check_min_poly(QMatrix(3, 3, entries))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eigenvalue", [0, 1, -2, rat(1, 3)])
+    def test_jordan_blocks(self, size, eigenvalue):
+        block = QMatrix(
+            size,
+            size,
+            [eigenvalue if i == j else (1 if j == i + 1 else 0) for i in range(size) for j in range(size)],
+        )
+        assert self.check_min_poly(block) == (x() - eigenvalue) ** size
+        # a direct sum with a smaller block of the same eigenvalue keeps the polynomial
+        padded = QMatrix.from_rows(
+            [list(block.row(i)) + [0] for i in range(size)] + [[0] * size + [eigenvalue]]
+        )
+        assert self.check_min_poly(padded) == (x() - eigenvalue) ** size
 
 
 class TestPredicates:
