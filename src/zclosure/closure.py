@@ -139,6 +139,13 @@ def monomial_basis(m: int, d: int):
     return tuple(mono for level in by_degree for mono in level)
 
 
+@lru_cache(maxsize=None)
+def _grevlex_priority(m: int, d: int):
+    """Coordinates of monomial_basis(m, d) in ascending grevlex order."""
+    basis = monomial_basis(m, d)
+    return tuple(sorted(range(len(basis)), key=lambda i: GREVLEX.key(basis[i])))
+
+
 def monomial_lift(point: GLPoint, d: int):
     """Vector of all monomials of degree <= d evaluated at the point."""
     coords = point.coords
@@ -270,7 +277,9 @@ def lifted_span(generators: GeneratorSet, d: int, span_cap=None) -> LiftedBasis:
     """Fixed point of the lift operators on the span of the identity lift.
 
     Breadth-first over (basis vector, generator) pairs in insertion order, so
-    the witness words and the resulting basis are reproducible.
+    the witness words and the resulting basis are reproducible.  Pivots are
+    chosen in ascending grevlex order, so the free column of each kernel
+    vector is its grevlex leading monomial.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -279,7 +288,7 @@ def lifted_span(generators: GeneratorSet, d: int, span_cap=None) -> LiftedBasis:
     size = len(monomial_basis(m, d))
     cap = size if span_cap is None else min(span_cap, size)
     ops = [_lift_rows(g, d) for g in generators.with_inverses]
-    echelon = EchelonBasis(size)
+    echelon = EchelonBasis(size, _grevlex_priority(m, d))
     v0 = monomial_lift(gl_embed(QMatrix.identity(n)), d)
     echelon.insert(v0)
     vectors = [v0]
@@ -303,20 +312,42 @@ def _vector_to_poly(vector, m, d):
     return Poly(m, {mono: c for mono, c in zip(basis, vector) if c})
 
 
+def _minimal_kernel_vectors(span: LiftedBasis):
+    """Kernel vectors whose free monomial no other free monomial divides.
+
+    With grevlex pivots the free monomials are the leading monomials of the
+    vanishing polynomials of degree <= d, a set closed under multiplication
+    by monomials within degree d.  So a free monomial t is minimal exactly
+    when every t - e_i (t_i > 0) is a pivot column.
+    """
+    basis = monomial_basis(span.m, span.d)
+    index = {mono: i for i, mono in enumerate(basis)}
+    pivots = set(span.echelon.pivots)
+    free = [c for c in range(len(basis)) if c not in pivots]
+    out = []
+    for fc, vec in zip(free, span.kernel_vectors()):
+        t = basis[fc]
+        if all(index[t[:i] + (e - 1,) + t[i + 1 :]] in pivots for i, e in enumerate(t) if e):
+            out.append(vec)
+    return out
+
+
 def invariants_up_to_degree(
     generators: GeneratorSet, d: int, degree_dominates=False, span_cap=None
 ) -> ClosureResult:
     """All polynomials of degree <= d vanishing on the generated group.
 
-    The returned ideal's generators are a basis of the orthogonal complement
-    of the saturated span.  certified is "degree-complete" only when the
-    caller asserts d dominates the true closure degree.
+    The returned ideal's generators are the kernel elements of the saturated
+    span whose grevlex leading monomials are minimal under divisibility;
+    they generate the same ideal as the whole kernel (the span keeps the
+    full kernel in kernel_vectors()).  Each is monic in grevlex.  certified
+    is "degree-complete" only when the caller asserts d dominates the true
+    closure degree.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
     span = lifted_span(generators, d, span_cap)
-    kernel = span.kernel_vectors()
-    gens = [_vector_to_poly(v, span.m, d) for v in kernel]
+    gens = [_vector_to_poly(v, span.m, d) for v in _minimal_kernel_vectors(span)]
     ideal = Ideal(span.m, gens)
     certified = "degree-complete" if degree_dominates else "heuristic-stable"
     return ClosureResult(ideal, d, certified, span)
@@ -489,7 +520,6 @@ def is_group_variety(ideal: Ideal, n: int, budget=DEFAULT_BUDGET) -> bool:
     for f in reduced:
         if f.evaluate(identity) != 0:
             return False
-    base = Ideal(m, reduced)
 
     # product: two generic copies u (vars 0..m-1) and v (vars m..2m-1)
     double = Ideal(
@@ -524,7 +554,7 @@ def is_group_variety(ideal: Ideal, n: int, budget=DEFAULT_BUDGET) -> bool:
             inv_map[i * n + j] = _adjugate_entry(generic, n, m, i, j) * yvar
     inv_map[m - 1] = _poly_det(generic, n, m)
     for f in reduced:
-        if not ideal_member(f.subs(inv_map), base, budget):
+        if not ideal_member(f.subs(inv_map), ideal, budget):
             return False
     return True
 

@@ -61,6 +61,8 @@ def generators_to_json(gens: GeneratorSet):
 
 
 def generators_from_json(obj) -> GeneratorSet:
+    if not isinstance(obj, dict) or "n" not in obj or "generators" not in obj:
+        raise ValueError('generators must be a JSON object with "n" and "generators"')
     mats = [matrix_from_json(m) for m in obj["generators"]]
     gens = GeneratorSet(mats)
     if gens.n != obj["n"]:

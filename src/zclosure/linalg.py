@@ -351,15 +351,23 @@ class EchelonBasis:
     Feeds the span fixed point: vectors are inserted one at a time; an
     insertion reports whether the vector enlarged the span.  Stored rows are
     normalized to pivot 1 and fully reduced against each other.
+
+    priority is the column order in which pivots are chosen (default: column
+    order): a row's pivot is its first nonzero entry in that order, so every
+    row is zero at the columns before its pivot and at the other pivots.
+    Each kernel vector is then one at its free column and nonzero elsewhere
+    only at pivot columns that come before it in the priority order.  Which
+    vectors are independent does not depend on the priority.
     """
 
-    __slots__ = ("length", "rows", "pivots", "_pivot_of")
+    __slots__ = ("length", "rows", "pivots", "_pivot_of", "_priority")
 
-    def __init__(self, length):
+    def __init__(self, length, priority=None):
         self.length = length
         self.rows = []
         self.pivots = []
         self._pivot_of = {}
+        self._priority = range(length) if priority is None else priority
 
     def __len__(self):
         return len(self.rows)
@@ -378,7 +386,7 @@ class EchelonBasis:
     def insert(self, vector):
         """Insert a vector; returns True when it was independent."""
         v = self.reduce(vector)
-        pivot = next((j for j, x in enumerate(v) if x), None)
+        pivot = next((j for j in self._priority if v[j]), None)
         if pivot is None:
             return False
         inv = ONE / v[pivot]
@@ -405,7 +413,8 @@ class EchelonBasis:
     def kernel(self):
         """Basis of {c : c . v = 0 for every v in the span}, as lists.
 
-        The free-variable parametrization of the rref rows, so it equals
+        The free-variable parametrization of the reduced rows, one vector per
+        free column in column order; with the default priority it equals
         QMatrix.kernel_basis of the inserted rows.
         """
         pivots, red = self.rref_rows()

@@ -317,8 +317,12 @@ DEFAULT_BUDGET = GroebnerBudget()
 
 def normal_form(f, basis, order=GREVLEX, budget=None):
     """Remainder of f under multivariate division by basis (full tail reduction)."""
+    return _divide(f, [(g.leading(order), g) for g in basis if g], order, budget)
+
+
+def _divide(f, divisors, order, budget):
+    """normal_form against ((lm, lc), g) pairs whose leading terms are known."""
     max_degree = budget.max_degree if budget else None
-    divisors = [(g.leading(order), g) for g in basis if g]
     p = dict(f.terms)
     remainder = {}
     while p:
@@ -354,9 +358,9 @@ def normal_form(f, basis, order=GREVLEX, budget=None):
     return out
 
 
-def _s_poly(f, g, order):
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+def _s_poly(head_f, head_g):
+    (fm, fc), f = head_f
+    (gm, gc), g = head_g
     lcm = _mono_lcm(fm, gm)
     mf = Poly(f.arity, {_mono_div(lcm, fm): ONE / fc})
     mg = Poly(g.arity, {_mono_div(lcm, gm): ONE / gc})
@@ -379,8 +383,9 @@ def groebner(generators, order=GREVLEX, budget=DEFAULT_BUDGET):
     if any(g.total_degree() == 0 for g in basis):
         return [Poly.const(arity, 1)]
 
-    G = list(basis)
-    lead = [g.leading(order)[0] for g in G]
+    # ((lm, lc), g) per basis element; lead[i] is the monomial of heads[i]
+    heads = [(g.leading(order), g) for g in basis]
+    lead = [lm for (lm, _), _ in heads]
     heap = []
     done = set()
     treated = 0
@@ -388,12 +393,12 @@ def groebner(generators, order=GREVLEX, budget=DEFAULT_BUDGET):
     def push(i, j):
         heapq.heappush(heap, (order.key(_mono_lcm(lead[i], lead[j])), i, j))
 
-    for i in range(len(G)):
+    for i in range(len(heads)):
         for j in range(i):
             push(i, j)
 
     def chain_skip(i, j, lcm):
-        for k in range(len(G)):
+        for k in range(len(heads)):
             if k in (i, j):
                 continue
             if _mono_divides(lead[k], lcm):
@@ -420,31 +425,32 @@ def groebner(generators, order=GREVLEX, budget=DEFAULT_BUDGET):
             raise ResourceLimit(
                 f"S-pair degree {sum(lcm)} exceeds budget {budget.max_degree}"
             )
-        r = normal_form(_s_poly(G[i], G[j], order), G, order, budget)
+        r = _divide(_s_poly(heads[i], heads[j]), heads, order, budget)
         if r:
-            G.append(r)
-            lead.append(r.leading(order)[0])
-            new = len(G) - 1
+            head = r.leading(order)
+            heads.append((head, r))
+            lead.append(head[0])
+            new = len(heads) - 1
             for k in range(new):
                 push(new, k)
 
     # minimalize: drop elements whose leading monomial is divisible by another's
     keep = []
-    for i, g in enumerate(G):
+    for i in range(len(heads)):
         if any(
             j != i and _mono_divides(lead[j], lead[i]) and (sum(lead[j]), j) < (sum(lead[i]), i)
-            for j in range(len(G))
+            for j in range(len(heads))
         ):
             continue
-        if any(j != i and lead[j] == lead[i] and j < i for j in range(len(G))):
+        if any(j != i and lead[j] == lead[i] and j < i for j in range(len(heads))):
             continue
         keep.append(i)
-    minimal = [G[i] for i in keep]
+    minimal = [heads[i] for i in keep]
     # inter-reduce to the unique reduced basis
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, (_, g) in enumerate(minimal):
         others = [h for j, h in enumerate(minimal) if j != i]
-        r = normal_form(g, others, order, budget)
+        r = _divide(g, others, order, budget)
         if r:
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
@@ -515,6 +521,8 @@ def ideal_member(f, ideal, budget=DEFAULT_BUDGET):
 def ideal_equal(a, b, budget=DEFAULT_BUDGET):
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
+    if a.generators == b.generators:
+        return True
     return a.groebner(GREVLEX, budget) == b.groebner(GREVLEX, budget)
 
 

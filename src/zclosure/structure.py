@@ -12,6 +12,7 @@ import math
 from .errors import NotUnipotent, SingularMatrix, UnsupportedEigenvalues
 from .linalg import QMatrix
 from .poly import Poly, derivative, uni_divmod, uni_gcd
+from .relations import factor_rational
 from ._rat import RAT, ZERO, ONE, rat
 
 __all__ = [
@@ -292,15 +293,13 @@ def rational_eigenvalues(g: QMatrix):
 
 
 def _divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    """Positive divisors of a nonzero integer, from its bounded factorization.
+
+    factor_rational raises ResourceLimit past its trial-division bound.
+    """
+    out = [1]
+    for p, e in factor_rational(n)[1].items():
+        out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 

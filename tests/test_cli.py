@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -166,6 +167,12 @@ class TestDecomposeCommand:
         assert code == 2
 
 
+def test_bare_generator_list_is_input_error(capsys):
+    code, out, err = run(capsys, "closure", "--generators", '[[["1"]]]', "--degree", "2")
+    assert code == 2
+    assert err == 'error: generators must be a JSON object with "n" and "generators"\n'
+
+
 class TestRelationsCommand:
     def test_eigenvalues(self, capsys):
         payload = run_json(capsys, "relations", "--eigenvalues", '["32", "1/2"]')
@@ -189,6 +196,14 @@ class TestRelationsCommand:
     def test_needs_input(self, capsys):
         code, out, err = run(capsys, "relations")
         assert code == 2
+
+    def test_large_prime_entry_hits_factor_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "relations", "--matrix", json.dumps([[str(10**15 + 37)]])
+        )
+        assert code == 3
+        assert time.perf_counter() - start < 2
 
 
 class TestUnipotentClosureCommand:

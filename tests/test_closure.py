@@ -31,8 +31,9 @@ from zclosure.closure import (
     random_words_vanish,
     schreier_generators,
 )
+from zclosure import poly
 from zclosure.linalg import EchelonBasis, QMatrix
-from zclosure.poly import Ideal, Poly, ideal_equal, ideal_member
+from zclosure.poly import GREVLEX, Ideal, Poly, groebner, ideal_equal, ideal_member
 from zclosure.structure import one_parameter
 from zclosure._rat import rat
 
@@ -277,6 +278,73 @@ class TestInvariants:
             assert span.dimension + len(span.kernel_vectors()) == comb(5 + 2, 2)
 
 
+SYM3 = [perm_matrix([1, 0, 2]), perm_matrix([0, 2, 1])]
+HEISENBERG = [qm([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), qm([[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
+
+KERNEL_CASES = [
+    ("sym3", SYM3, 2),
+    ("sym3", SYM3, 3),
+    ("signed_sym3", [qm([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), perm_matrix([0, 2, 1])], 2),
+    ("heisenberg", HEISENBERG, 2),
+    ("heisenberg", HEISENBERG, 3),
+    ("torus", [QMatrix.diagonal([rat(2), rat(1, 2)])], 4),
+    ("rotation4", [qm([[0, -1], [1, 0]])], 4),
+    ("rotation6", [qm([[1, -1], [1, 0]])], 4),
+    ("sl2", [qm([[1, 1], [0, 1]]), qm([[1, 0], [1, 1]])], 3),
+]
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+class TestKernelEchelon:
+    """The grevlex-echelonized kernel is a degree-truncated Gröbner basis."""
+
+    @pytest.mark.parametrize(
+        "name,gens,d", KERNEL_CASES, ids=[f"{c[0]}-d{c[2]}" for c in KERNEL_CASES]
+    )
+    def test_minimal_generators(self, name, gens, d):
+        res = invariants_up_to_degree(GeneratorSet(gens), d)
+        span = res.span
+        basis = monomial_basis(span.m, d)
+        kernel = [
+            Poly(span.m, {mono: c for mono, c in zip(basis, v) if c})
+            for v in span.kernel_vectors()
+        ]
+        assert groebner(res.ideal.generators) == groebner(kernel)
+        heads = [f.leading(GREVLEX) for f in res.ideal.generators]
+        assert all(c == 1 for _, c in heads)
+        for i, (a, _) in enumerate(heads):
+            for j, (b, _) in enumerate(heads):
+                assert i == j or not _divides(a, b)
+
+    @pytest.mark.parametrize(
+        "name,gens,d", KERNEL_CASES, ids=[f"{c[0]}-d{c[2]}" for c in KERNEL_CASES]
+    )
+    def test_leading_monomial_is_free_column(self, name, gens, d):
+        span = lifted_span(GeneratorSet(gens), d)
+        basis = monomial_basis(span.m, d)
+        pivots = set(span.echelon.pivots)
+        kernel = span.kernel_vectors()
+        assert len(kernel) == len(basis) - len(pivots)
+        for v in kernel:
+            support = [c for c, x in enumerate(v) if x]
+            (free,) = [c for c in support if c not in pivots]
+            assert v[free] == 1
+            assert max(support, key=lambda c: GREVLEX.key(basis[c])) == free
+
+    @pytest.mark.parametrize(
+        "gens,d,count",
+        [(SYM3, 3, 20), (HEISENBERG, 3, 7)],
+        ids=["sym3-d3", "heisenberg-d3"],
+    )
+    def test_generator_count(self, gens, d, count):
+        # 280 and 266 kernel vectors; only the divisibility-minimal ones remain
+        res = invariants_up_to_degree(GeneratorSet(gens), d)
+        assert len(res.ideal.generators) == count
+
+
 class TestCyclicSemisimple:
     def test_identity(self):
         ideal = closure_cyclic_semisimple(QMatrix.identity(2))
@@ -434,6 +502,30 @@ class TestAutoClosure:
         G = GeneratorSet(gens)
         res = auto_closure(G, 6)
         assert random_words_vanish(res, G, random.Random(seed), count=100)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [qm([[1, 1], [0, 1]]), qm([[1, 0], [1, 1]])],
+            [QMatrix.diagonal([rat(2), rat(1, 2)])],
+            HEISENBERG,
+            [qm([[0, -1], [1, 0]])],
+        ],
+        ids=["sl2", "torus", "heisenberg", "rotation4"],
+    )
+    def test_no_repeated_reduction(self, gens, monkeypatch):
+        # minimal kernel generators often agree across degrees and are often
+        # already reduced; neither may cost a second Buchberger run
+        calls = []
+        real = poly.groebner
+
+        def spy(generators, *args, **kwargs):
+            calls.append((args, tuple(generators)))
+            return real(generators, *args, **kwargs)
+
+        monkeypatch.setattr(poly, "groebner", spy)
+        auto_closure(GeneratorSet(gens), 4)
+        assert len(calls) == len(set(calls))
 
 
 class TestSchreier:

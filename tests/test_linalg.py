@@ -286,6 +286,26 @@ class TestEchelonAgainstSympy:
             assert (m * v).is_zero()
 
     @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.data())
+    def test_pivot_priority(self, m, data):
+        priority = data.draw(st.permutations(range(m.cols)))
+        echelon = EchelonBasis(m.cols, priority)
+        for i in range(m.rows):
+            echelon.insert(m.row(i))
+        rank = to_sympy(m).rank()
+        assert len(echelon) == rank
+        for row, pivot in zip(echelon.rows, echelon.pivots):
+            assert next(c for c in priority if row[c]) == pivot
+            assert row[pivot] == 1
+            assert all(not row[p] for p in echelon.pivots if p != pivot)
+        for i in range(m.rows):
+            assert echelon.contains(m.row(i))
+        kernel = echelon.kernel()
+        assert len(kernel) == m.cols - rank
+        for v in kernel:
+            assert (m * QMatrix.column(v)).is_zero()
+
+    @settings(max_examples=60, deadline=None)
     @given(matrices(square=True))
     def test_inverse(self, m):
         assert m.det() == from_sympy(to_sympy(m).det())
