@@ -17,7 +17,6 @@ from .tower import (
     tower_mul,
     tower_add,
     tower_max,
-    tower_cmp,
     log2_bounds,
     ln_bounds,
 )
@@ -89,11 +88,7 @@ def general_index_bound(n: int, exact_bits=None) -> TowerNumber:
         tower_mul(4, d, d),
         exact_bits=exact_bits,
     )
-    inner = tower_mul(
-        2,
-        tower_pow(tower_add(power, 1), 2, exact_bits=exact_bits),
-        exact_bits=exact_bits,
-    )
+    inner = tower_mul(2, tower_pow(tower_add(power, 1), 2, exact_bits=exact_bits))
     return tower_fact(inner, exact_bits=exact_bits)
 
 
@@ -110,11 +105,7 @@ def quotient_embedding_bounds(n: int, d: int, exact_bits=None):
     if d < 1:
         raise ValueError("need d >= 1")
     p_bound = tower_pow(n * n + d, 2 * d * d, exact_bits=exact_bits)
-    map_degree = tower_mul(
-        d,
-        tower_pow(n * n + d, 2 * d * d + 1, exact_bits=exact_bits),
-        exact_bits=exact_bits,
-    )
+    map_degree = tower_mul(d, tower_pow(n * n + d, 2 * d * d + 1, exact_bits=exact_bits))
     return p_bound, map_degree
 
 
@@ -224,21 +215,13 @@ def chain_bounds(n: int, field_degree: int = 1, exact_bits=None) -> BoundReport:
     if field_degree < 1:
         raise ValueError("need field_degree >= 1")
     k = field_degree
-    semisimple = tower_mul(
-        n * n,
-        tower_fact(2 * (n * n + 1) ** 2 * k, exact_bits=exact_bits),
-        exact_bits=exact_bits,
-    )
+    semisimple = tower_mul(n * n, tower_fact(2 * (n * n + 1) ** 2 * k, exact_bits=exact_bits))
     d = unipotent_degree_bound(n, exact_bits=exact_bits)
     p = tower_pow(tower_add(n * n, d), tower_mul(2, d, d), exact_bits=exact_bits)
     inner = tower_mul(
-        2 * k,
-        tower_pow(tower_add(tower_pow(p, 2), 1), 2, exact_bits=exact_bits),
-        exact_bits=exact_bits,
+        2 * k, tower_pow(tower_add(tower_pow(p, 2), 1), 2, exact_bits=exact_bits)
     )
-    general = tower_mul(
-        n * n, tower_pow(p, 2), tower_fact(inner, exact_bits=exact_bits), exact_bits=exact_bits
-    )
+    general = tower_mul(n * n, tower_pow(p, 2), tower_fact(inner, exact_bits=exact_bits))
     return BoundReport(
         {"n": n, "field_degree": k},
         {

@@ -20,7 +20,6 @@ from .bounds import (
     closure_degree_bound,
 )
 from .closure import (
-    GeneratorSet,
     auto_closure,
     closure_unipotent_product,
     invariants_up_to_degree,

@@ -15,6 +15,7 @@ and Schreier generator enumeration for finite-index subgroups.
 
 from collections import deque
 from functools import lru_cache
+from math import comb
 
 from .errors import (
     NoStabilization,
@@ -34,8 +35,8 @@ from .poly import (
     substitute_linear,
 )
 from .relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
-from .structure import PolyMatrix, is_semisimple, one_parameter, rational_eigenvalues
-from ._rat import RAT, ZERO, ONE, rat
+from .structure import is_semisimple, one_parameter, rational_eigenvalues
+from ._rat import ZERO, ONE, rat
 
 __all__ = [
     "GeneratorSet",
@@ -59,6 +60,10 @@ __all__ = [
     "schreier_generators",
     "random_words_vanish",
 ]
+
+# Largest monomial coordinate count C(m + d, d) a span is built in; 3x3
+# matrices at d = 6 need 8008.
+MAX_COORDINATES = 10**5
 
 
 class GeneratorSet:
@@ -146,22 +151,31 @@ def _grevlex_priority(m: int, d: int):
     return tuple(sorted(range(len(basis)), key=lambda i: GREVLEX.key(basis[i])))
 
 
+@lru_cache(maxsize=None)
+def _lift_table(m: int, d: int):
+    """(parent, var) per non-constant coordinate: its monomial is var times
+    the monomial at parent, an earlier coordinate of monomial_basis(m, d)."""
+    basis = monomial_basis(m, d)
+    index = {mono: i for i, mono in enumerate(basis)}
+    table = []
+    for mono in basis[1:]:
+        var = next(i for i, e in enumerate(mono) if e)
+        table.append((index[mono[:var] + (mono[var] - 1,) + mono[var + 1 :]], var))
+    return tuple(table)
+
+
+def _lift(coords, d, one):
+    """All monomials of degree <= d in coords, one product per monomial."""
+    out = [one]
+    for parent, var in _lift_table(len(coords), d):
+        x = out[parent]
+        out.append(x * coords[var] if x else x)
+    return out
+
+
 def monomial_lift(point: GLPoint, d: int):
     """Vector of all monomials of degree <= d evaluated at the point."""
-    coords = point.coords
-    m = len(coords)
-    powers = [[ONE] for _ in range(m)]
-    for i, c in enumerate(coords):
-        for _ in range(d):
-            powers[i].append(powers[i][-1] * c)
-    out = []
-    for mono in monomial_basis(m, d):
-        v = ONE
-        for i, e in enumerate(mono):
-            if e:
-                v *= powers[i][e]
-        out.append(v)
-    return out
+    return _lift(point.coords, d, ONE)
 
 
 def _linear_forms(g: QMatrix):
@@ -186,53 +200,22 @@ def _linear_forms(g: QMatrix):
     return forms
 
 
-def _lift_rows(g: QMatrix, d: int):
-    """Sparse rows of the lift operator: row per monomial, (col, coeff) pairs."""
+def lift_operator(g: QMatrix, d: int) -> QMatrix:
+    """Dense matrix L with monomial_lift(g·h) = L · monomial_lift(h) for all h.
+
+    Row r is the r-th monomial of the linear forms of g·h in the coordinates of h.
+    """
+    if not g.det():
+        raise SingularMatrix("lift operator of a singular matrix")
     m = g.rows * g.rows + 1
     basis = monomial_basis(m, d)
     index = {mono: i for i, mono in enumerate(basis)}
-    forms = _linear_forms(g)
-    power_cache = [[Poly.const(m, 1)] for _ in range(m)]
-    for v, form in enumerate(forms):
-        for _ in range(d):
-            power_cache[v].append(power_cache[v][-1] * form)
-    rows = []
-    for mono in basis:
-        prod = None
-        for v, e in enumerate(mono):
-            if e:
-                p = power_cache[v][e]
-                prod = p if prod is None else prod * p
-        if prod is None:
-            rows.append(((index[mono], ONE),))
-        else:
-            rows.append(tuple((index[t], c) for t, c in prod.terms.items()))
-    return rows
-
-
-def lift_operator(g: QMatrix, d: int) -> QMatrix:
-    """Dense matrix L with monomial_lift(g·h) = L · monomial_lift(h) for all h."""
-    if not g.det():
-        raise SingularMatrix("lift operator of a singular matrix")
-    rows = _lift_rows(g, d)
-    size = len(rows)
+    size = len(basis)
     entries = [ZERO] * (size * size)
-    for r, row in enumerate(rows):
-        for c, coeff in row:
-            entries[r * size + c] = coeff
+    for r, row in enumerate(_lift(_linear_forms(g), d, Poly.const(m, 1))):
+        for mono, c in row.terms.items():
+            entries[r * size + index[mono]] = c
     return QMatrix(size, size, entries)
-
-
-def _apply_rows(rows, vector):
-    out = []
-    for row in rows:
-        s = ZERO
-        for c, coeff in row:
-            v = vector[c]
-            if v:
-                s += coeff * v
-        out.append(s)
-    return out
 
 
 class LiftedBasis:
@@ -274,36 +257,48 @@ class ClosureResult:
 
 
 def lifted_span(generators: GeneratorSet, d: int, span_cap=None) -> LiftedBasis:
-    """Fixed point of the lift operators on the span of the identity lift.
+    """Span of the monomial lifts of the generated group, saturated from the identity.
 
-    Breadth-first over (basis vector, generator) pairs in insertion order, so
-    the witness words and the resulting basis are reproducible.  Pivots are
-    chosen in ascending grevlex order, so the free column of each kernel
-    vector is its grevlex leading monomial.
+    Each basis vector is the lift of a group element W, kept as (W, 1/det W);
+    its image under generator g is the lift of g·W.  Breadth-first over
+    (basis vector, generator) pairs in insertion order, so the witness words
+    and the resulting basis are reproducible; words[i] lists the generators
+    applied, first to last.  Pivots are chosen in ascending grevlex order,
+    so the free column of each kernel vector is its grevlex leading monomial.
+    Raises ResourceLimit before building anything when C(m + d, d) exceeds
+    MAX_COORDINATES, and when the span outgrows span_cap.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     n = generators.n
     m = n * n + 1
-    size = len(monomial_basis(m, d))
+    size = comb(m + d, d)
+    if size > MAX_COORDINATES:
+        raise ResourceLimit(f"{size} monomial coordinates exceed the limit {MAX_COORDINATES}")
     cap = size if span_cap is None else min(span_cap, size)
-    ops = [_lift_rows(g, d) for g in generators.with_inverses]
+    gens = [(g, ONE / g.det()) for g in generators.with_inverses]
     echelon = EchelonBasis(size, _grevlex_priority(m, d))
-    v0 = monomial_lift(gl_embed(QMatrix.identity(n)), d)
+    identity = QMatrix.identity(n)
+    v0 = _lift(identity.entries + (ONE,), d, ONE)
     echelon.insert(v0)
     vectors = [v0]
+    elements = [(identity, ONE)]
     words = [()]
-    queue = deque((0, gi) for gi in range(len(ops)))
+    queue = deque((0, gi) for gi in range(len(gens)))
     while queue:
         vi, gi = queue.popleft()
-        image = _apply_rows(ops[gi], vectors[vi])
+        g, y = gens[gi]
+        w, yw = elements[vi]
+        h, yh = g * w, y * yw
+        image = _lift(h.entries + (yh,), d, ONE)
         if echelon.insert(image):
             if len(vectors) + 1 > cap:
                 raise ResourceLimit(f"span dimension exceeded the cap {cap}")
             vectors.append(image)
+            elements.append((h, yh))
             words.append(words[vi] + (gi,))
             new_index = len(vectors) - 1
-            queue.extend((new_index, gj) for gj in range(len(ops)))
+            queue.extend((new_index, gj) for gj in range(len(gens)))
     return LiftedBasis(d, m, vectors, words, echelon)
 
 

@@ -13,7 +13,7 @@ from .bounds import BoundReport
 from .closure import GeneratorSet
 from .linalg import QMatrix
 from .poly import GREVLEX, Ideal, Poly
-from .tower import TowerNumber, tower_add, tower_exact, tower_fact, tower_mul, tower_pow
+from .tower import TowerNumber, tower_exact
 from ._rat import rat
 
 __all__ = [

@@ -7,7 +7,7 @@ row_hnf serves integer kernels.
 """
 
 from .errors import SingularMatrix
-from ._rat import RAT, ZERO, ONE, rat, height
+from ._rat import ZERO, ONE, rat, height
 
 __all__ = [
     "QMatrix",

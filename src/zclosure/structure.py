@@ -7,13 +7,14 @@ matrix arithmetic), truncated logarithm/exponential of unipotents, and the
 polynomial one-parameter subgroup through a unipotent matrix.
 """
 
+import itertools
 import math
 
-from .errors import NotUnipotent, SingularMatrix, UnsupportedEigenvalues
+from .errors import NotUnipotent, ResourceLimit, SingularMatrix, UnsupportedEigenvalues
 from .linalg import QMatrix
 from .poly import Poly, derivative, uni_divmod, uni_gcd
 from .relations import factor_rational
-from ._rat import RAT, ZERO, ONE, rat
+from ._rat import ZERO, ONE, rat
 
 __all__ = [
     "JCDecomposition",
@@ -31,6 +32,9 @@ __all__ = [
     "rational_eigenvalues",
     "companion_matrix",
 ]
+
+# Candidates p/q the rational-root search tries per polynomial.
+ROOT_CANDIDATE_BUDGET = 10**4
 
 
 class JCDecomposition:
@@ -304,7 +308,10 @@ def _divisors(n):
 
 
 def _some_rational_root(p: Poly):
-    """A rational root of a univariate rational polynomial, or None."""
+    """A rational root of a univariate rational polynomial, or None.
+
+    Raises ResourceLimit once ROOT_CANDIDATE_BUDGET candidates failed.
+    """
     coeffs = {}
     denom_lcm = 1
     for (e,), c in p.terms.items():
@@ -319,13 +326,16 @@ def _some_rational_root(p: Poly):
     low = min(ints)
     if low > 0:
         return ZERO  # x^low divides p
-    const = ints[0]
-    for q in _divisors(lead):
-        for pnum in _divisors(const):
-            for sign in (1, -1):
-                cand = rat(sign * pnum, q)
-                if p.evaluate([cand]) == 0:
-                    return cand
+    qs, ps = _divisors(lead), _divisors(ints[0])
+    for tried, (q, pnum, sign) in enumerate(itertools.product(qs, ps, (1, -1))):
+        if tried == ROOT_CANDIDATE_BUDGET:
+            raise ResourceLimit(
+                f"rational-root search exceeded its budget of {ROOT_CANDIDATE_BUDGET} "
+                f"candidates ({2 * len(qs) * len(ps)} in all)"
+            )
+        cand = rat(sign * pnum, q)
+        if p.evaluate([cand]) == 0:
+            return cand
     return None
 
 

@@ -15,8 +15,6 @@ import math
 import sys
 from fractions import Fraction
 
-from ._rat import RAT, rat
-
 # exact values legitimately reach hundreds of thousands of digits
 if hasattr(sys, "set_int_max_str_digits"):
     if sys.get_int_max_str_digits() < 3_000_000:
@@ -39,10 +37,6 @@ __all__ = [
 DEFAULT_EXACT_BITS = 10**6
 
 _F = Fraction  # interval endpoints stay in Fraction for exactness bookkeeping
-
-
-def _frac(x):
-    return Fraction(int(x.numerator), int(x.denominator)) if not isinstance(x, Fraction) else x
 
 
 def _round_down(x: _F, bits: int) -> _F:
@@ -96,7 +90,7 @@ def _floor_log2(q: _F) -> int:
 
 def ln_bounds(q, bits: int = 64):
     """(lo, hi) Fractions with lo <= ln(q) <= hi, for rational q > 0."""
-    q = _frac(_frac_of(q))
+    q = _frac_of(q)
     if q <= 0:
         raise ValueError("log of a non-positive value")
     if q == 1:
@@ -120,7 +114,7 @@ def ln_bounds(q, bits: int = 64):
 
 def log2_bounds(q, bits: int = 64):
     """(lo, hi) Fractions with lo <= log2(q) <= hi; exact on powers of two."""
-    q = _frac(_frac_of(q))
+    q = _frac_of(q)
     if q <= 0:
         raise ValueError("log of a non-positive value")
     e = _floor_log2(q)
@@ -299,8 +293,7 @@ def tower_fact(arg, exact_bits=None):
     return TowerNumber("factorial", arg=arg)
 
 
-def tower_mul(*xs, exact_bits=None):
-    limit = DEFAULT_EXACT_BITS if exact_bits is None else exact_bits
+def tower_mul(*xs):
     coeff = Fraction(1)
     factors = []
     for x in xs:
@@ -322,7 +315,7 @@ def tower_mul(*xs, exact_bits=None):
     return TowerNumber("mul", coeff=coeff, factors=tuple(factors))
 
 
-def tower_add(*xs, exact_bits=None):
+def tower_add(*xs):
     const = Fraction(0)
     terms = []
     for x in xs:
@@ -343,7 +336,12 @@ def tower_add(*xs, exact_bits=None):
 
 
 def tower_max(a, b, bits=128):
-    return a if tower_cmp(a, b, bits) >= 0 else b
+    """The larger of a and b; their sum, a sound upper bound, when the
+    comparison is undecided at this precision."""
+    c = _cmp(a, b, bits)
+    if c is None:
+        return tower_add(a, b)
+    return a if c >= 0 else b
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +353,12 @@ _NEG_SENTINEL = -(Fraction(2) ** 300)
 
 def tower_cmp(a, b, bits: int = 128) -> int:
     """-1, 0, or 1; 0 means equal or indistinguishable at this precision."""
+    c = _cmp(a, b, bits)
+    return 0 if c is None else c
+
+
+def _cmp(a, b, bits):
+    """-1, 0 or 1 when decided; None when undecided at this precision."""
     a, b = _coerce(a), _coerce(b)
     if a.key() == b.key():
         return 0
@@ -367,18 +371,18 @@ def tower_cmp(a, b, bits: int = 128) -> int:
         decided = _cmp_intervals(a, b, attempt_bits)
         if decided is not None:
             return decided
-    return 0
+    return None
 
 
 def _cmp_structural(a, b, bits):
     # identical operation with one shared operand: descend monotonically
     if a.kind == "pow" and b.kind == "pow":
         if a.base.key() == b.base.key() and _definitely_ge(a.base, 2, bits):
-            return tower_cmp(a.exp, b.exp, bits)
+            return _cmp(a.exp, b.exp, bits)
         if a.exp.key() == b.exp.key() and _definitely_ge(a.exp, 1, bits):
-            return tower_cmp(a.base, b.base, bits)
+            return _cmp(a.base, b.base, bits)
     if a.kind == "factorial" and b.kind == "factorial":
-        return tower_cmp(a.arg, b.arg, bits)
+        return _cmp(a.arg, b.arg, bits)
     if a.kind == "mul" or b.kind == "mul":
         ca, fa = _mul_parts(a)
         cb, fb = _mul_parts(b)
@@ -387,13 +391,13 @@ def _cmp_structural(a, b, bits):
             # shared factors are positive, so they cancel from both sides
             fa = _multiset_subtract(fa, shared)
             fb = _multiset_subtract(fb, shared)
-            return tower_cmp(
+            return _cmp(
                 tower_mul(tower_exact(ca), *fa),
                 tower_mul(tower_exact(cb), *fb),
                 bits,
             )
         if ca == cb and len(fa) == 1 and len(fb) == 1:
-            return tower_cmp(fa[0], fb[0], bits)
+            return _cmp(fa[0], fb[0], bits)
     if a.kind == "add" or b.kind == "add":
         ca, ta = _add_parts(a)
         cb, tb = _add_parts(b)
@@ -403,13 +407,13 @@ def _cmp_structural(a, b, bits):
             ta = _multiset_subtract(ta, shared)
             tb = _multiset_subtract(tb, shared)
             base = min(ca, cb) - 1
-            return tower_cmp(
+            return _cmp(
                 tower_add(tower_exact(ca - base), *ta),
                 tower_add(tower_exact(cb - base), *tb),
                 bits,
             )
         if ca == cb and len(ta) == 1 and len(tb) == 1:
-            return tower_cmp(ta[0], tb[0], bits)
+            return _cmp(ta[0], tb[0], bits)
     return None
 
 
@@ -490,7 +494,7 @@ def _lval_inner(t, bits, depth):
     if depth > 12:
         raise ValueError("tower too deep for interval comparison")
     if t.is_exact:
-        return _normalize((0, _frac(t.value), _frac(t.value)), bits)
+        return _normalize((0, _frac_of(t.value), _frac_of(t.value)), bits)
     if t.kind == "pow":
         lb = _lval_inner(t.base, bits, depth + 1)
         le = _lval_inner(t.exp, bits, depth + 1)
@@ -528,10 +532,10 @@ def _lval_inner(t, bits, depth):
     # add
     parts = [_lval_inner(x, bits, depth + 1) for x in t.terms]
     if t.const:
-        parts.append((0, _frac(t.const), _frac(t.const)))
+        parts.append((0, _frac_of(t.const), _frac_of(t.const)))
     total = parts[0]
     for p in parts[1:]:
-        total = _value_add(total, p, bits)
+        total = _lval_add(total, p, bits)
     return total
 
 
@@ -580,10 +584,6 @@ def _lval_add(u, v, bits):
         if k == 2 and big[1] >= 30:
             return (k, lo, big[2] + Fraction(1, 1 << 20))
     return (k, lo, max(u[2], v[2]) + 1)
-
-
-def _value_add(u, v, bits):
-    return _lval_add(u, v, bits)
 
 
 def _lval_mul(u, v, bits, depth):

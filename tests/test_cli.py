@@ -108,6 +108,16 @@ class TestClosureCommand:
         # NoStabilization is an input/configuration problem, not a resource cap
         assert code == 2
 
+    def test_coordinate_budget(self, capsys):
+        # C(50, 40) ~ 10^10 monomial coordinates: refused before any is built
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "closure", "--generators", json.dumps(S3), "--degree", "40"
+        )
+        assert code == 3
+        assert "10272278170 monomial coordinates" in err
+        assert time.perf_counter() - start < 1
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -204,6 +214,17 @@ class TestRelationsCommand:
         )
         assert code == 3
         assert time.perf_counter() - start < 2
+
+    def test_many_root_candidates_hit_search_budget(self, capsys):
+        # x^2 + c/720720: 2 * 240 * 512 rational-root candidates, none a root
+        c = 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "relations", "--matrix", json.dumps([["0", f"-{c}/720720"], ["1", "0"]])
+        )
+        assert code == 3
+        assert "budget of 10000 candidates" in err
+        assert time.perf_counter() - start < 1
 
 
 class TestUnipotentClosureCommand:

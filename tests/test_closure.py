@@ -157,6 +157,22 @@ class TestMonomialBasis:
         assert values == [rat(1), rat(2), rat(3), rat(4), rat(6), rat(9)]
 
 
+    @pytest.mark.parametrize("n", [2, 3], ids=["m5", "m10"])
+    def test_lift_is_power_products(self, n):
+        m = n * n + 1
+        rng = random.Random(n)
+        for d in range(5):
+            coords = [rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)]
+            coords[rng.randrange(m)] = rat(0)
+            expected = []
+            for mono in monomial_basis(m, d):
+                v = rat(1)
+                for c, e in zip(coords, mono):
+                    v *= c**e
+                expected.append(v)
+            assert monomial_lift(GLPoint(n, coords), d) == expected
+
+
 class TestLiftOperator:
     def test_identity_operator(self):
         size = len(monomial_basis(5, 2))
@@ -184,6 +200,20 @@ class TestLiftOperator:
         rng = random.Random(10)
         for _ in range(5):
             g, h = random_invertible(rng, 2), random_invertible(rng, 2)
+            assert lift_operator(g * h, 2) == lift_operator(g, 2) * lift_operator(h, 2)
+
+    def test_defining_property_3x3(self):
+        rng = random.Random(11)
+        for _ in range(4):
+            g, h = random_invertible(rng, 3), random_invertible(rng, 3)
+            lhs = monomial_lift(gl_embed(g * h), 2)
+            rhs = lift_operator(g, 2) * QMatrix.column(monomial_lift(gl_embed(h), 2))
+            assert QMatrix.column(lhs) == rhs
+
+    def test_monoid_homomorphism_3x3(self):
+        rng = random.Random(12)
+        for _ in range(2):
+            g, h = random_invertible(rng, 3), random_invertible(rng, 3)
             assert lift_operator(g * h, 2) == lift_operator(g, 2) * lift_operator(h, 2)
 
 
@@ -343,6 +373,23 @@ class TestKernelEchelon:
         # 280 and 266 kernel vectors; only the divisibility-minimal ones remain
         res = invariants_up_to_degree(GeneratorSet(gens), d)
         assert len(res.ideal.generators) == count
+
+
+class TestLiftedSpan:
+    @pytest.mark.parametrize(
+        "gens,d",
+        [([qm([[1, 1], [0, 1]]), qm([[1, 0], [1, 1]])], 3), (SYM3, 2), (HEISENBERG, 2)],
+        ids=["sl2-d3", "sym3-d2", "heisenberg-d2"],
+    )
+    def test_vectors_are_lifts_of_witness_words(self, gens, d):
+        # words[i] lists the generators applied first to last, each on the left
+        generators = GeneratorSet(gens)
+        span = lifted_span(generators, d)
+        for vector, word in zip(span.vectors, span.words):
+            g = QMatrix.identity(generators.n)
+            for gi in word:
+                g = generators.with_inverses[gi] * g
+            assert vector == monomial_lift(gl_embed(g), d)
 
 
 class TestCyclicSemisimple:

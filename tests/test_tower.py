@@ -140,6 +140,16 @@ class TestComparison:
         b = tower_fact(10**9)
         assert tower_max(a, b) == b
 
+    def test_max_undecided_is_upper_bound(self):
+        # 2^(2E) < 3 * 2^E * 2^E, but no interval precision separates them;
+        # at 32 bits each undecided comparison costs milliseconds, not seconds
+        e = tower_fact(10**9)
+        a = tower_pow(2, tower_mul(2, e))
+        b = tower_mul(3, tower_pow(2, e), tower_pow(2, e))
+        assert tower_cmp(a, b, bits=32) == 0
+        assert tower_max(a, b, bits=32) == tower_add(a, b)
+        assert tower_max(b, a, bits=32) == tower_add(a, b)
+
     def test_total_order_small_sample(self):
         values = [
             tower_exact(3),
