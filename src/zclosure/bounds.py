@@ -21,6 +21,7 @@ from .tower import (
     ln_bounds,
 )
 from ._rat import rat
+from .errors import ResourceLimit
 
 __all__ = [
     "BoundReport",
@@ -35,6 +36,11 @@ __all__ = [
     "chain_bounds",
     "finite_subgroup_order_bound",
 ]
+
+# Largest bit size of the exact Schreier height base h^(n^3+n^2) n! n (n = 79
+# with h = 3 fits); the log bounds and the output of the composed closure
+# bound grow with it, to 31 s at n = 100, h = 9.
+MAX_SCHREIER_BASE_BITS = 10**6
 
 
 class BoundReport:
@@ -163,11 +169,17 @@ def schreier_height_bound(n: int, h: int, exact_bits=None) -> TowerNumber:
     """(h^(n^3+n^2) n! n)^(2 j + 1) with j the general index bound.
 
     Bounds the entry heights of Schreier words of the length the index
-    bound allows.
+    bound allows.  Raises ResourceLimit before building the base when its
+    bit size, estimated with n! <= n^n, exceeds MAX_SCHREIER_BASE_BITS.
     """
     _check_n(n)
     if h < 1:
         raise ValueError("need h >= 1")
+    bits = (n**3 + n * n) * h.bit_length() + (n + 1) * n.bit_length()
+    if bits > MAX_SCHREIER_BASE_BITS:
+        raise ResourceLimit(
+            f"Schreier height base of about {bits} bits exceeds the limit {MAX_SCHREIER_BASE_BITS}"
+        )
     base = h ** (n**3 + n * n) * math.factorial(n) * n
     exponent = tower_add(tower_mul(2, general_index_bound(n, exact_bits=exact_bits)), 1)
     return tower_pow(base, exponent, exact_bits=exact_bits)

@@ -34,6 +34,7 @@ from .jsonio import (
     ideal_to_json,
     matrix_from_json,
     matrix_to_json,
+    rat_from_str,
 )
 from .poly import Ideal
 from .relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
@@ -132,7 +133,7 @@ def _cmd_decompose(args):
 
 def _cmd_relations(args):
     if args.eigenvalues:
-        values = [rat(v) for v in _load_json(args.eigenvalues)]
+        values = [rat_from_str(v) for v in _load_json(args.eigenvalues)]
     elif args.matrix:
         values = rational_eigenvalues(matrix_from_json(_load_json(args.matrix)))
     else:

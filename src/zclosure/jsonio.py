@@ -5,6 +5,7 @@ polynomials are coefficient/exponent records, and tower values serialize as
 nested nodes.  Text renderings of polynomials are round-trippable.
 """
 
+import json
 import re
 from fractions import Fraction
 
@@ -45,6 +46,9 @@ def rat_to_str(q) -> str:
 
 
 def rat_from_str(s: str):
+    """A rational from a "p/q" string or an integer; floats and booleans are refused."""
+    if isinstance(s, (bool, float)):
+        raise ValueError(f'expected a rational as a "p/q" string or an integer, got {json.dumps(s)}')
     return rat(s)
 
 

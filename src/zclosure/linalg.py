@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over the rationals and integer lattice kernels.
+"""Exact linear algebra over the rationals and integer lattice kernels.
 
-Matrices are immutable, entries are reduced fractions, and every operation
-is exact.  One incremental echelon form, EchelonBasis, serves rref, rank,
-kernels and inverses (det keeps its own loop for the pivot product);
-row_hnf serves integer kernels.
+Matrices are immutable and dense, entries are reduced fractions, and every
+operation is exact.  One incremental echelon form, EchelonBasis, whose rows
+are stored sparsely, serves the span fixed point, rref, rank, kernels and
+inverses (det keeps its own loop for the pivot product); row_hnf serves
+integer kernels.
 """
 
 from .errors import SingularMatrix
@@ -346,11 +347,16 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
 
 
 class EchelonBasis:
-    """Incremental echelon form over the rationals.
+    """Incremental echelon form over the rationals, with sparse rows.
 
     Feeds the span fixed point: vectors are inserted one at a time; an
     insertion reports whether the vector enlarged the span.  Stored rows are
     normalized to pivot 1 and fully reduced against each other.
+
+    Each row is kept as its tail, a dict {column: coefficient} of its nonzero
+    entries off the pivot (the pivot entry is 1 and not stored; no stored
+    coefficient is zero), so reduction touches only stored nonzeros.  rows is
+    a dense read-only view, built on access, in insertion order.
 
     priority is the column order in which pivots are chosen (default: column
     order): a row's pivot is its first nonzero entry in that order, so every
@@ -360,27 +366,38 @@ class EchelonBasis:
     vectors are independent does not depend on the priority.
     """
 
-    __slots__ = ("length", "rows", "pivots", "_pivot_of", "_priority")
+    __slots__ = ("length", "pivots", "_tails", "_pivot_of", "_priority")
 
     def __init__(self, length, priority=None):
         self.length = length
-        self.rows = []
         self.pivots = []
+        self._tails = []
         self._pivot_of = {}
         self._priority = range(length) if priority is None else priority
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._tails)
+
+    @property
+    def rows(self):
+        return [self._dense(pivot, tail) for pivot, tail in zip(self.pivots, self._tails)]
+
+    def _dense(self, pivot, tail):
+        row = [ZERO] * self.length
+        row[pivot] = ONE
+        for j, b in tail.items():
+            row[j] = b
+        return row
 
     def reduce(self, vector):
         """Remainder of vector against the current rows (new list)."""
         v = list(vector)
-        for pivot, row in zip(self.pivots, self.rows):
+        for pivot, tail in zip(self.pivots, self._tails):
             f = v[pivot]
             if f:
-                for j, b in enumerate(row):
-                    if b:
-                        v[j] -= f * b
+                v[pivot] = ZERO
+                for j, b in tail.items():
+                    v[j] -= f * b
         return v
 
     def insert(self, vector):
@@ -390,16 +407,19 @@ class EchelonBasis:
         if pivot is None:
             return False
         inv = ONE / v[pivot]
-        v = [x * inv for x in v]
-        for row in self.rows:
-            f = row[pivot]
-            if f:
-                for j, b in enumerate(v):
-                    if b:
-                        row[j] -= f * b
-        self.rows.append(v)
+        new = {j: x * inv for j, x in enumerate(v) if x and j != pivot}
+        for tail in self._tails:
+            f = tail.pop(pivot, None)
+            if f is not None:
+                for j, b in new.items():
+                    x = tail.get(j, ZERO) - f * b
+                    if x:
+                        tail[j] = x
+                    else:
+                        tail.pop(j, None)
+        self._pivot_of[pivot] = len(self._tails)
         self.pivots.append(pivot)
-        self._pivot_of[pivot] = len(self.rows) - 1
+        self._tails.append(new)
         return True
 
     def contains(self, vector):
@@ -408,7 +428,7 @@ class EchelonBasis:
     def rref_rows(self):
         """Pivot columns in ascending order and the rref rows they belong to."""
         pivots = sorted(self._pivot_of)
-        return pivots, [self.rows[self._pivot_of[p]] for p in pivots]
+        return pivots, [self._dense(p, self._tails[self._pivot_of[p]]) for p in pivots]
 
     def kernel(self):
         """Basis of {c : c . v = 0 for every v in the span}, as lists.
@@ -417,13 +437,10 @@ class EchelonBasis:
         free column in column order; with the default priority it equals
         QMatrix.kernel_basis of the inserted rows.
         """
-        pivots, red = self.rref_rows()
-        free = [c for c in range(self.length) if c not in self._pivot_of]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.length
+        basis = {c: [ZERO] * self.length for c in range(self.length) if c not in self._pivot_of}
+        for pc, tail in zip(self.pivots, self._tails):
+            for fc, b in tail.items():
+                basis[fc][pc] = -b
+        for fc, v in basis.items():
             v[fc] = ONE
-            for row, pc in zip(red, pivots):
-                v[pc] = -row[fc]
-            basis.append(v)
-        return basis
+        return list(basis.values())

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from zclosure.bounds import (
+    MAX_SCHREIER_BASE_BITS,
     unipotent_degree_bound,
     semisimple_index_bound,
     general_index_bound,
@@ -14,6 +15,7 @@ from zclosure.bounds import (
     schreier_height_bound,
     closure_degree_bound,
 )
+from zclosure.errors import ResourceLimit
 from zclosure.tower import tower_add, tower_cmp, tower_exact, tower_mul
 
 
@@ -125,6 +127,17 @@ class TestSchreierHeight:
 
     def test_monotone_in_h(self):
         assert tower_cmp(schreier_height_bound(1, 2), schreier_height_bound(1, 4)) == -1
+
+    def test_base_budget(self):
+        # 3^(79^3+79^2) 79! 79 has about 0.79 * 10^6 bits; at n = 80 the
+        # estimate 2 (80^3+80^2) + 81 * 7 bits is past the limit
+        base = schreier_height_bound(79, 3).base
+        assert base.value == 3 ** (79**3 + 79**2) * math.factorial(79) * 79
+        assert base.value.numerator.bit_length() <= MAX_SCHREIER_BASE_BITS
+        with pytest.raises(ResourceLimit):
+            schreier_height_bound(80, 3)
+        with pytest.raises(ResourceLimit):
+            schreier_height_bound(10**8, 2)
 
 
 class TestClosureDegreeBound:

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zclosure.cli import cli_main
 from zclosure.jsonio import SCHEMAS
@@ -146,6 +149,28 @@ def test_zero_denominator_is_input_error(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", [True, 0.1], ids=["true", "float"])
+def test_json_bool_or_float_entry_is_input_error(capsys, entry):
+    # 0.1 would otherwise be read as the binary fraction 3602879701896397/2^55
+    gens = {"n": 2, "generators": [[["1", entry], ["0", "1"]]]}
+    code, out, err = run(capsys, "closure", "--generators", json.dumps(gens), "--degree", "1")
+    assert code == 2
+    assert err == (
+        'error: expected a rational as a "p/q" string or an integer, got '
+        f"{json.dumps(entry)}\n"
+    )
+    code, out, relations_err = run(capsys, "relations", "--eigenvalues", json.dumps(["2", entry]))
+    assert code == 2
+    assert relations_err == err
+
+
+def test_json_integer_entry_reads_like_string(capsys):
+    as_ints = {"n": 2, "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}
+    assert run_json(
+        capsys, "closure", "--generators", json.dumps(as_ints), "--degree", "2"
+    ) == run_json(capsys, "closure", "--generators", json.dumps(SL2), "--degree", "2")
+
+
 class TestInvariantCommand:
     def test_rotation(self, capsys, tmp_path):
         path = write(tmp_path, "rot.json", ROTATION_PROGRAM)
@@ -261,6 +286,16 @@ class TestBoundsCommand:
         assert "semisimple_index = 40320" in out
         assert "↑" in out
 
+    @pytest.mark.parametrize("n", [1000, 10**8])
+    def test_large_n_finishes(self, capsys, n):
+        # the exact Schreier height base 2^(n^3+n^2) n! n has 10^9 bits at
+        # n = 1000 and 10^24 at n = 10^8
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--n", str(n), "--height", "2", "--gens", "1")
+        assert code in (0, 3)
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 2
+
 
 class TestChainBoundsCommand:
     def test_n1(self, capsys):
@@ -298,3 +333,125 @@ class TestTextJsonAgreement:
         assert str(payload["basis"]) in text_out
         for line in payload["binomials"]["text"]:
             assert line in text_out
+
+
+# Malformed and extreme JSON.  Most draws are well-shaped (1x1 or 2x2 grids
+# of valid rationals, some with 30-digit numerators or denominators) so the
+# engine runs as well as the parser; the rest put nulls, booleans, floats,
+# junk strings, zero denominators or wrong shapes where a rational is due.
+valid_rationals = st.one_of(
+    st.integers(-9, 9),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.sampled_from([1, 2, 3, 10**30])),
+    st.builds("{}".format, st.integers(-(10**30), 10**30)),
+)
+json_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from(["", "abc", "1/", "--1", "nan", "1/0", "-3/0", "1e40"]),
+)
+json_values = st.recursive(
+    st.one_of(valid_rationals, json_junk),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(["n", "generators", "num_vars", "updates", "A", "b"]), inner, max_size=3
+        ),
+    ),
+    max_leaves=8,
+)
+json_entries = st.one_of(valid_rationals, json_junk)
+
+
+def mostly(good, bad):
+    """good in most draws, bad in the rest."""
+    return st.integers(0, 3).flatmap(lambda k: bad if k == 3 else good)
+
+
+def grids(entries, size):
+    return st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size)
+
+
+json_matrices = mostly(
+    st.one_of(grids(valid_rationals, 1), grids(valid_rationals, 2)),
+    st.one_of(grids(json_entries, 2), st.lists(st.lists(json_entries, max_size=3), max_size=3), json_values),
+)
+
+
+@st.composite
+def json_generators(draw):
+    mats = draw(st.lists(json_matrices, min_size=1, max_size=2))
+    size = len(mats[0]) if isinstance(mats[0], list) else 0
+    n = draw(mostly(st.just(size), st.one_of(st.integers(-1, 3), json_junk)))
+    return draw(mostly(st.just({"n": n, "generators": mats}), st.one_of(st.just(mats), json_values)))
+
+
+@st.composite
+def json_programs(draw):
+    num_vars = draw(st.integers(1, 2))
+    update = st.fixed_dictionaries(
+        {
+            "A": mostly(grids(valid_rationals, num_vars), json_matrices),
+            "b": mostly(st.lists(valid_rationals, min_size=num_vars, max_size=num_vars), json_values),
+        }
+    )
+    updates = draw(st.lists(update, max_size=2))
+    n = draw(mostly(st.just(num_vars), st.one_of(st.integers(-1, 3), json_junk)))
+    return draw(mostly(st.just({"num_vars": n, "updates": updates}), json_values))
+
+
+def small(low):
+    """Integers from low to 4 as argv strings, or a few out of range."""
+    return mostly(st.integers(low, 4), st.integers(-3, 4)).map(str)
+
+
+cli_argvs = st.one_of(
+    st.tuples(
+        st.just("closure"),
+        st.just("--generators"),
+        json_generators().map(json.dumps),
+        st.sampled_from(["--degree", "--max-degree"]),
+        mostly(st.integers(1, 2), st.integers(-1, 0)).map(str),
+    ).map(lambda t: list(t) + (["--auto"] if t[3] == "--max-degree" else [])),
+    st.tuples(
+        st.just("relations"),
+        st.sampled_from(["--eigenvalues", "--matrix"]),
+        st.one_of(st.lists(mostly(valid_rationals, json_entries), max_size=3), json_matrices).map(json.dumps),
+    ).map(list),
+    st.tuples(
+        st.just("invariant"),
+        st.just("--program"),
+        json_programs().map(json.dumps),
+        st.just("--degree"),
+        # degree 2 with 21-digit update entries already takes seconds
+        st.integers(-1, 1).map(str),
+    ).map(list),
+    st.tuples(
+        st.just("bounds"),
+        st.just("--n"), small(1),
+        st.just("--height"), small(2),
+        st.just("--gens"), small(1),
+        st.just("--constant"), mostly(st.sampled_from(["1", "1/2", "3"]), st.sampled_from(["0", "-1", "1/0", "abc"])),
+        st.just("--log-base"), small(2),
+    ).map(list),
+    st.tuples(
+        st.just("chain-bounds"), st.just("--n"), small(1), st.just("--field-degree"), small(1)
+    ).map(list),
+)
+
+
+class TestCliFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(cli_argvs, st.sampled_from(["text", "json"]))
+    def test_exit_code_contract(self, argv, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv + ["--format", fmt])
+        assert time.perf_counter() - start < 5, argv
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert not out.getvalue() and err.getvalue()

@@ -4,6 +4,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from zclosure import closure
+from zclosure.closure import GeneratorSet, lifted_span
 from zclosure.errors import SingularMatrix
 from zclosure.linalg import (
     QMatrix,
@@ -14,7 +16,7 @@ from zclosure.linalg import (
     integer_kernel,
     row_hnf,
 )
-from zclosure._rat import rat
+from zclosure._rat import ONE, ZERO, rat
 
 
 def qm(rows):
@@ -314,3 +316,122 @@ class TestEchelonAgainstSympy:
                 m.inverse()
         else:
             assert m.inverse() == from_sympy(to_sympy(m).inv())
+
+
+class DenseEchelon:
+    """Frozen dense reference for EchelonBasis: every row is a full list."""
+
+    def __init__(self, length, priority=None):
+        self.length = length
+        self.rows = []
+        self.pivots = []
+        self._pivot_of = {}
+        self._priority = range(length) if priority is None else priority
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vector):
+        v = list(vector)
+        for pivot, row in zip(self.pivots, self.rows):
+            f = v[pivot]
+            if f:
+                for j, b in enumerate(row):
+                    if b:
+                        v[j] -= f * b
+        return v
+
+    def insert(self, vector):
+        v = self.reduce(vector)
+        pivot = next((j for j in self._priority if v[j]), None)
+        if pivot is None:
+            return False
+        inv = ONE / v[pivot]
+        v = [x * inv for x in v]
+        for row in self.rows:
+            f = row[pivot]
+            if f:
+                for j, b in enumerate(v):
+                    if b:
+                        row[j] -= f * b
+        self.rows.append(v)
+        self.pivots.append(pivot)
+        self._pivot_of[pivot] = len(self.rows) - 1
+        return True
+
+    def rref_rows(self):
+        pivots = sorted(self._pivot_of)
+        return pivots, [self.rows[self._pivot_of[p]] for p in pivots]
+
+    def kernel(self):
+        pivots, red = self.rref_rows()
+        basis = []
+        for fc in (c for c in range(self.length) if c not in self._pivot_of):
+            v = [ZERO] * self.length
+            v[fc] = ONE
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+        return basis
+
+
+def assert_tails_sparse(echelon):
+    """No stored tail holds a zero, its own pivot or another row's pivot."""
+    pivots = set(echelon.pivots)
+    for pivot, tail in zip(echelon.pivots, echelon._tails):
+        assert all(tail.values())
+        assert not pivots & tail.keys(), (pivot, tail)
+
+
+class TestSparseEchelonAgainstDense:
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(), st.data())
+    def test_same_echelon(self, m, data):
+        priority = data.draw(st.one_of(st.none(), st.permutations(range(m.cols))))
+        sparse = EchelonBasis(m.cols, priority)
+        dense = DenseEchelon(m.cols, priority)
+        for i in range(m.rows):
+            assert sparse.insert(m.row(i)) == dense.insert(m.row(i))
+            assert sparse.pivots == dense.pivots
+            assert sparse.rows == dense.rows
+            assert_tails_sparse(sparse)
+        assert len(sparse) == len(dense)
+        assert sparse.rref_rows() == dense.rref_rows()
+        assert sparse.kernel() == dense.kernel()
+        for i in range(m.rows):
+            assert sparse.reduce(m.row(i)) == dense.reduce(m.row(i))
+
+    def test_cancelled_entries_are_dropped(self):
+        # back-substituting (0, 1, 1) into (1, 1, 1) cancels column 2
+        echelon = EchelonBasis(3)
+        echelon.insert([rat(1), rat(1), rat(1)])
+        echelon.insert([rat(0), rat(1), rat(1)])
+        assert_tails_sparse(echelon)
+        assert echelon._tails == [{}, {2: rat(1)}]
+
+    @pytest.mark.parametrize(
+        "gens, d",
+        [
+            ([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], 3),
+            (
+                [
+                    [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                    [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+                    [[1, 0, 0], [0, 1, 0], [1, 0, 1]],
+                ],
+                2,
+            ),
+            ([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], 4),
+        ],
+        ids=["sl2-d3", "sl3-d2", "sl2-d4"],
+    )
+    def test_same_span(self, monkeypatch, gens, d):
+        generators = GeneratorSet([qm(g) for g in gens])
+        span = lifted_span(generators, d)
+        assert_tails_sparse(span.echelon)
+        monkeypatch.setattr(closure, "EchelonBasis", DenseEchelon)
+        reference = lifted_span(generators, d)
+        assert span.vectors == reference.vectors
+        assert span.words == reference.words
+        assert span.echelon.pivots == reference.echelon.pivots
+        assert span.kernel_vectors() == reference.kernel_vectors()
