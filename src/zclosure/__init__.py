@@ -19,7 +19,7 @@ from .errors import (
 )
 from ._rat import rat, height
 from .linalg import QMatrix, IntMatrix, matrix_height, integer_kernel
-from .poly import Poly, Ideal, GroebnerBudget, groebner, eliminate, ideal_member, ideal_equal
+from .poly import Poly, Ideal, groebner, eliminate, ideal_member, ideal_equal
 from .structure import jordan_chevalley, nilpotent_log, one_parameter
 from .relations import EigenSpec, rational_relation_lattice, lattice_to_binomial_ideal
 from .closure import (
@@ -51,7 +51,6 @@ __all__ = [
     "integer_kernel",
     "Poly",
     "Ideal",
-    "GroebnerBudget",
     "groebner",
     "eliminate",
     "ideal_member",

@@ -13,7 +13,7 @@ coordinates are eliminated.
 from .closure import GeneratorSet, invariants_up_to_degree
 from .errors import NonInvertibleUpdate
 from .linalg import QMatrix
-from .poly import DEFAULT_BUDGET, Ideal, Poly, eliminate
+from .poly import Ideal, Poly, eliminate
 from ._rat import ONE, ZERO, rat
 
 __all__ = ["AffineProgram", "affine_to_generators", "strongest_invariant"]
@@ -63,7 +63,7 @@ def affine_to_generators(program: AffineProgram) -> GeneratorSet:
     return GeneratorSet(gens)
 
 
-def strongest_invariant(program: AffineProgram, d: int, budget=DEFAULT_BUDGET) -> Ideal:
+def strongest_invariant(program: AffineProgram, d: int) -> Ideal:
     """Polynomials of degree <= d holding along every execution.
 
     The result lives in 2 num_vars variables: current state first, then the
@@ -95,7 +95,7 @@ def strongest_invariant(program: AffineProgram, d: int, budget=DEFAULT_BUDGET) -
         mono[i * (n + 1) + n] = 1
         terms[tuple(mono)] = -ONE  # -M_i,n (translation column)
         gens.append(Poly(total, terms))
-    return eliminate(Ideal(total, gens), k, budget)
+    return eliminate(Ideal(total, gens), k)
 
 
 def run_program(program: AffineProgram, start, steps, rng):

@@ -72,77 +72,73 @@ class BoundReport:
         return f"BoundReport({self.params}, {{{', '.join(self.bounds)}}})"
 
 
-def semisimple_index_bound(n: int, exact_bits=None) -> TowerNumber:
+def semisimple_index_bound(n: int) -> TowerNumber:
     """(2 (n^2+1)^2)!  -- index bound for the semisimple (pistil) case."""
     _check_n(n)
-    return tower_fact(2 * (n * n + 1) ** 2, exact_bits=exact_bits)
+    return tower_fact(2 * (n * n + 1) ** 2)
 
 
-def unipotent_degree_bound(n: int, exact_bits=None) -> TowerNumber:
+def unipotent_degree_bound(n: int) -> TowerNumber:
     """(n^3+1)^(2^(3 n^2)) -- degree bound for unipotent-generated closures."""
     _check_n(n)
-    inner = tower_pow(2, 3 * n * n, exact_bits=exact_bits)
-    return tower_pow(n**3 + 1, inner, exact_bits=exact_bits)
+    inner = tower_pow(2, 3 * n * n)
+    return tower_pow(n**3 + 1, inner)
 
 
-def general_index_bound(n: int, exact_bits=None) -> TowerNumber:
+def general_index_bound(n: int) -> TowerNumber:
     """(2 [(n^2+D)^(4D^2) + 1]^2)! with D the unipotent degree bound."""
     _check_n(n)
-    d = unipotent_degree_bound(n, exact_bits=exact_bits)
-    power = tower_pow(
-        tower_add(n * n, d),
-        tower_mul(4, d, d),
-        exact_bits=exact_bits,
-    )
-    inner = tower_mul(2, tower_pow(tower_add(power, 1), 2, exact_bits=exact_bits))
-    return tower_fact(inner, exact_bits=exact_bits)
+    d = unipotent_degree_bound(n)
+    power = tower_pow(tower_add(n * n, d), tower_mul(4, d, d))
+    inner = tower_mul(2, tower_pow(tower_add(power, 1), 2))
+    return tower_fact(inner)
 
 
-def elimination_degree_bound(d: int, n_vars: int, exact_bits=None) -> TowerNumber:
+def elimination_degree_bound(d: int, n_vars: int) -> TowerNumber:
     """(d+1)^(2^n_vars) -- elimination-ideal degree growth."""
     if d < 1 or n_vars < 0:
         raise ValueError("need d >= 1 and n_vars >= 0")
-    return tower_pow(d + 1, tower_pow(2, n_vars, exact_bits=exact_bits), exact_bits=exact_bits)
+    return tower_pow(d + 1, tower_pow(2, n_vars))
 
 
-def quotient_embedding_bounds(n: int, d: int, exact_bits=None):
+def quotient_embedding_bounds(n: int, d: int):
     """(dimension bound, map degree bound) for the quotient homomorphism."""
     _check_n(n)
     if d < 1:
         raise ValueError("need d >= 1")
-    p_bound = tower_pow(n * n + d, 2 * d * d, exact_bits=exact_bits)
-    map_degree = tower_mul(d, tower_pow(n * n + d, 2 * d * d + 1, exact_bits=exact_bits))
+    p_bound = tower_pow(n * n + d, 2 * d * d)
+    map_degree = tower_mul(d, tower_pow(n * n + d, 2 * d * d + 1))
     return p_bound, map_degree
 
 
-def _log_upper(value, base, bits):
+def _log_upper(value, base):
     """Exact Fraction upper bound of log_base(value); exact when possible."""
     if base == 2:
-        return log2_bounds(value, bits)[1]
-    num = ln_bounds(value, bits)
-    den = ln_bounds(base, bits)
+        return log2_bounds(value)[1]
+    num = ln_bounds(value)
+    den = ln_bounds(base)
     cands = [num[0] / den[0], num[0] / den[1], num[1] / den[0], num[1] / den[1]]
     return max(cands)
 
 
-def _tower_log(t: TowerNumber, base: int, bits: int) -> TowerNumber:
+def _tower_log(t: TowerNumber, base: int) -> TowerNumber:
     """log_base of a tower as a TowerNumber (rational upper bound at leaves)."""
     if t.is_exact:
-        lu = _log_upper(t.value, base, bits)
+        lu = _log_upper(t.value, base)
         if lu <= 0:
             raise ValueError("logarithm of a value <= 1 in a bound formula")
         return tower_exact(lu)
     if t.kind == "pow":
-        return tower_mul(t.exp, _tower_log(t.base, base, bits))
+        return tower_mul(t.exp, _tower_log(t.base, base))
     if t.kind == "mul":
-        parts = [_tower_log(f, base, bits) for f in t.factors]
+        parts = [_tower_log(f, base) for f in t.factors]
         if t.coeff != 1:
-            parts.append(tower_exact(_log_upper(t.coeff, base, bits)))
+            parts.append(tower_exact(_log_upper(t.coeff, base)))
         return tower_add(*parts)
     raise ValueError(f"cannot take an exact symbolic log of a {t.kind} node")
 
 
-def masser_lattice_bound(n: int, h, c=1, log_base: int = 2, bits: int = 64, exact_bits=None) -> TowerNumber:
+def masser_lattice_bound(n: int, h, c=1, log_base: int = 2) -> TowerNumber:
     """(c n^7 n! log h)^n, rounded up when it evaluates exactly.
 
     h may be an integer (>= 2) or a TowerNumber; the log base defaults to 2
@@ -154,18 +150,16 @@ def masser_lattice_bound(n: int, h, c=1, log_base: int = 2, bits: int = 64, exac
         raise ValueError("the absolute constant c must be positive")
     prefix = c * n**7 * math.factorial(n)
     if isinstance(h, TowerNumber) and not h.is_exact:
-        log_h = _tower_log(h, log_base, bits)
-        return tower_pow(
-            tower_mul(tower_exact(prefix), log_h), n, exact_bits=exact_bits
-        )
+        log_h = _tower_log(h, log_base)
+        return tower_pow(tower_mul(tower_exact(prefix), log_h), n)
     value = h.value if isinstance(h, TowerNumber) else Fraction(int(h))
     if value < 2:
         raise ValueError("need h >= 2")
-    log_h = _log_upper(value, log_base, bits)
+    log_h = _log_upper(value, log_base)
     return tower_exact(math.ceil((prefix * log_h) ** n))
 
 
-def schreier_height_bound(n: int, h: int, exact_bits=None) -> TowerNumber:
+def schreier_height_bound(n: int, h: int) -> TowerNumber:
     """(h^(n^3+n^2) n! n)^(2 j + 1) with j the general index bound.
 
     Bounds the entry heights of Schreier words of the length the index
@@ -181,11 +175,11 @@ def schreier_height_bound(n: int, h: int, exact_bits=None) -> TowerNumber:
             f"Schreier height base of about {bits} bits exceeds the limit {MAX_SCHREIER_BASE_BITS}"
         )
     base = h ** (n**3 + n * n) * math.factorial(n) * n
-    exponent = tower_add(tower_mul(2, general_index_bound(n, exact_bits=exact_bits)), 1)
-    return tower_pow(base, exponent, exact_bits=exact_bits)
+    exponent = tower_add(tower_mul(2, general_index_bound(n)), 1)
+    return tower_pow(base, exponent)
 
 
-def closure_degree_bound(n: int, h: int, s: int, c=1, log_base: int = 2, bits: int = 64, exact_bits=None) -> BoundReport:
+def closure_degree_bound(n: int, h: int, s: int, c=1, log_base: int = 2) -> BoundReport:
     """The composed degree bound for a closure with |S| = s generators.
 
     Composes the pipeline exactly: the Schreier word count, the height
@@ -196,14 +190,14 @@ def closure_degree_bound(n: int, h: int, s: int, c=1, log_base: int = 2, bits: i
     _check_n(n)
     if h < 2 or s < 1:
         raise ValueError("need h >= 2 and s >= 1")
-    jp = general_index_bound(n, exact_bits=exact_bits)
+    jp = general_index_bound(n)
     two_jp_plus_1 = tower_add(tower_mul(2, jp), 1)
-    ell = tower_pow(2 * s, two_jp_plus_1, exact_bits=exact_bits)
-    h_prime = schreier_height_bound(n, h, exact_bits=exact_bits)
-    f = masser_lattice_bound(n, h_prime, c, log_base=log_base, bits=bits, exact_bits=exact_bits)
-    d = tower_max(tower_mul(n, f), unipotent_degree_bound(n, exact_bits=exact_bits))
+    ell = tower_pow(2 * s, two_jp_plus_1)
+    h_prime = schreier_height_bound(n, h)
+    f = masser_lattice_bound(n, h_prime, c, log_base=log_base)
+    d = tower_max(tower_mul(n, f), unipotent_degree_bound(n))
     exponent = tower_mul(tower_add(ell, 2), n * n + 1, jp)
-    final = tower_pow(tower_add(d, 1), tower_pow(2, exponent), exact_bits=exact_bits)
+    final = tower_pow(tower_add(d, 1), tower_pow(2, exponent))
     return BoundReport(
         {"n": n, "h": h, "s": s, "c": str(c)},
         {
@@ -216,7 +210,7 @@ def closure_degree_bound(n: int, h: int, s: int, c=1, log_base: int = 2, bits: i
     )
 
 
-def chain_bounds(n: int, field_degree: int = 1, exact_bits=None) -> BoundReport:
+def chain_bounds(n: int, field_degree: int = 1) -> BoundReport:
     """Length bounds for strict chains of closures in dimension n.
 
     semisimple: n^2 (2 (n^2+1)^2 k)!; general: n^2 p^2 (2 (p^2+1)^2 k)!
@@ -227,13 +221,11 @@ def chain_bounds(n: int, field_degree: int = 1, exact_bits=None) -> BoundReport:
     if field_degree < 1:
         raise ValueError("need field_degree >= 1")
     k = field_degree
-    semisimple = tower_mul(n * n, tower_fact(2 * (n * n + 1) ** 2 * k, exact_bits=exact_bits))
-    d = unipotent_degree_bound(n, exact_bits=exact_bits)
-    p = tower_pow(tower_add(n * n, d), tower_mul(2, d, d), exact_bits=exact_bits)
-    inner = tower_mul(
-        2 * k, tower_pow(tower_add(tower_pow(p, 2), 1), 2, exact_bits=exact_bits)
-    )
-    general = tower_mul(n * n, tower_pow(p, 2), tower_fact(inner, exact_bits=exact_bits))
+    semisimple = tower_mul(n * n, tower_fact(2 * (n * n + 1) ** 2 * k))
+    d = unipotent_degree_bound(n)
+    p = tower_pow(tower_add(n * n, d), tower_mul(2, d, d))
+    inner = tower_mul(2 * k, tower_pow(tower_add(tower_pow(p, 2), 1), 2))
+    general = tower_mul(n * n, tower_pow(p, 2), tower_fact(inner))
     return BoundReport(
         {"n": n, "field_degree": k},
         {
@@ -245,11 +237,11 @@ def chain_bounds(n: int, field_degree: int = 1, exact_bits=None) -> BoundReport:
     )
 
 
-def finite_subgroup_order_bound(p: int, field_degree: int = 1, exact_bits=None) -> TowerNumber:
+def finite_subgroup_order_bound(p: int, field_degree: int = 1) -> TowerNumber:
     """(2 p k)! -- the order cap for finite rational (or number-field) groups."""
     if p < 1 or field_degree < 1:
         raise ValueError("need p >= 1 and field_degree >= 1")
-    return tower_fact(2 * p * field_degree, exact_bits=exact_bits)
+    return tower_fact(2 * p * field_degree)
 
 
 def _check_n(n):

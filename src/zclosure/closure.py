@@ -25,7 +25,6 @@ from .errors import (
 )
 from .linalg import EchelonBasis, QMatrix
 from .poly import (
-    DEFAULT_BUDGET,
     GREVLEX,
     Ideal,
     Poly,
@@ -64,6 +63,9 @@ __all__ = [
 # Largest monomial coordinate count C(m + d, d) a span is built in; 3x3
 # matrices at d = 6 need 8008.
 MAX_COORDINATES = 10**5
+
+# Most distinct products schreier_generators enumerates before it raises.
+MAX_SCHREIER_PRODUCTS = 200_000
 
 
 class GeneratorSet:
@@ -256,7 +258,7 @@ class ClosureResult:
         )
 
 
-def lifted_span(generators: GeneratorSet, d: int, span_cap=None) -> LiftedBasis:
+def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     """Span of the monomial lifts of the generated group, saturated from the identity.
 
     Each basis vector is the lift of a group element W, kept as (W, 1/det W);
@@ -265,8 +267,8 @@ def lifted_span(generators: GeneratorSet, d: int, span_cap=None) -> LiftedBasis:
     and the resulting basis are reproducible; words[i] lists the generators
     applied, first to last.  Pivots are chosen in ascending grevlex order,
     so the free column of each kernel vector is its grevlex leading monomial.
-    Raises ResourceLimit before building anything when C(m + d, d) exceeds
-    MAX_COORDINATES, and when the span outgrows span_cap.
+    Raises ResourceLimit before building anything when C(m + d, d), which
+    also bounds the span's dimension, exceeds MAX_COORDINATES.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -275,7 +277,6 @@ def lifted_span(generators: GeneratorSet, d: int, span_cap=None) -> LiftedBasis:
     size = comb(m + d, d)
     if size > MAX_COORDINATES:
         raise ResourceLimit(f"{size} monomial coordinates exceed the limit {MAX_COORDINATES}")
-    cap = size if span_cap is None else min(span_cap, size)
     gens = [(g, ONE / g.det()) for g in generators.with_inverses]
     echelon = EchelonBasis(size, _grevlex_priority(m, d))
     identity = QMatrix.identity(n)
@@ -292,8 +293,6 @@ def lifted_span(generators: GeneratorSet, d: int, span_cap=None) -> LiftedBasis:
         h, yh = g * w, y * yw
         image = _lift(h.entries + (yh,), d, ONE)
         if echelon.insert(image):
-            if len(vectors) + 1 > cap:
-                raise ResourceLimit(f"span dimension exceeded the cap {cap}")
             vectors.append(image)
             elements.append((h, yh))
             words.append(words[vi] + (gi,))
@@ -328,7 +327,7 @@ def _minimal_kernel_vectors(span: LiftedBasis):
 
 
 def invariants_up_to_degree(
-    generators: GeneratorSet, d: int, degree_dominates=False, span_cap=None
+    generators: GeneratorSet, d: int, degree_dominates=False
 ) -> ClosureResult:
     """All polynomials of degree <= d vanishing on the generated group.
 
@@ -341,7 +340,7 @@ def invariants_up_to_degree(
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    span = lifted_span(generators, d, span_cap)
+    span = lifted_span(generators, d)
     gens = [_vector_to_poly(v, span.m, d) for v in _minimal_kernel_vectors(span)]
     ideal = Ideal(span.m, gens)
     certified = "degree-complete" if degree_dominates else "heuristic-stable"
@@ -458,7 +457,7 @@ def _conjugation_matrix(p: QMatrix, p_inv: QMatrix) -> QMatrix:
     return QMatrix(m, m, entries)
 
 
-def implicitize(components, num_params: int, budget=DEFAULT_BUDGET) -> Ideal:
+def implicitize(components, num_params: int) -> Ideal:
     """Ideal of the closure of the image of a polynomial map.
 
     components: polynomials in num_params variables, one per output
@@ -473,10 +472,10 @@ def implicitize(components, num_params: int, budget=DEFAULT_BUDGET) -> Ideal:
             raise ValueError("component arity must equal num_params")
         lifted = Poly(total, {mono + (0,) * outs: c for mono, c in f.terms.items()})
         gens.append(Poly.variable(k + i, total) - lifted)
-    return eliminate(Ideal(total, gens), k, budget)
+    return eliminate(Ideal(total, gens), k)
 
 
-def closure_unipotent_product(hs, n=None, budget=DEFAULT_BUDGET) -> Ideal:
+def closure_unipotent_product(hs, n=None) -> Ideal:
     """Closure of { Phi_{h_1}(z_1) ... Phi_{h_l}(z_l) } for unipotent h_i.
 
     Implicitizes the multi-parameter product of one-parameter subgroups in
@@ -496,10 +495,10 @@ def closure_unipotent_product(hs, n=None, budget=DEFAULT_BUDGET) -> Ideal:
         phi = one_parameter(h).map_variables(ell, {0: i})  # raises NotUnipotent
         product = phi if product is None else product * phi
     components = list(product.entries) + [Poly.const(ell, 1)]
-    return implicitize(components, ell, budget)
+    return implicitize(components, ell)
 
 
-def is_group_variety(ideal: Ideal, n: int, budget=DEFAULT_BUDGET) -> bool:
+def is_group_variety(ideal: Ideal, n: int) -> bool:
     """Certificate that V(ideal) ∩ GL_n is a subgroup.
 
     Checks the identity point, closure of the generator polynomials under a
@@ -508,7 +507,7 @@ def is_group_variety(ideal: Ideal, n: int, budget=DEFAULT_BUDGET) -> bool:
     m = n * n + 1
     if ideal.arity != m:
         raise ValueError("ideal must live in n^2+1 variables")
-    reduced = ideal.groebner(GREVLEX, budget)
+    reduced = ideal.groebner(GREVLEX)
     if not reduced:
         return True
     identity = gl_embed(QMatrix.identity(n)).coords
@@ -537,7 +536,7 @@ def is_group_variety(ideal: Ideal, n: int, budget=DEFAULT_BUDGET) -> bool:
     ymono[2 * m - 1] = 1
     prod_map[m - 1] = Poly(2 * m, {tuple(ymono): ONE})
     for f in reduced:
-        if not ideal_member(f.subs(prod_map), double, budget):
+        if not ideal_member(f.subs(prod_map), double):
             return False
 
     # inverse: adjugate times y gives the entries, det gives the new y
@@ -549,7 +548,7 @@ def is_group_variety(ideal: Ideal, n: int, budget=DEFAULT_BUDGET) -> bool:
             inv_map[i * n + j] = _adjugate_entry(generic, n, m, i, j) * yvar
     inv_map[m - 1] = _poly_det(generic, n, m)
     for f in reduced:
-        if not ideal_member(f.subs(inv_map), ideal, budget):
+        if not ideal_member(f.subs(inv_map), ideal):
             return False
     return True
 
@@ -612,12 +611,7 @@ def random_words_vanish(result: ClosureResult, generators: GeneratorSet, rng, co
     return True
 
 
-def auto_closure(
-    generators: GeneratorSet,
-    max_d: int,
-    budget=DEFAULT_BUDGET,
-    span_cap=None,
-) -> ClosureResult:
+def auto_closure(generators: GeneratorSet, max_d: int) -> ClosureResult:
     """Iterative deepening until the degree-d ideal stabilizes.
 
     Stops at the first d with V_d = V_{d+1} (as ideals) whose variety passes
@@ -626,25 +620,24 @@ def auto_closure(
     """
     if max_d < 1:
         raise ValueError("max degree must be at least 1")
-    previous = invariants_up_to_degree(generators, 1, span_cap=span_cap)
+    previous = invariants_up_to_degree(generators, 1)
     for d in range(1, max_d):
-        current = invariants_up_to_degree(generators, d + 1, span_cap=span_cap)
-        if ideal_equal(previous.ideal, current.ideal, budget) and is_group_variety(
-            previous.ideal, generators.n, budget
+        current = invariants_up_to_degree(generators, d + 1)
+        if ideal_equal(previous.ideal, current.ideal) and is_group_variety(
+            previous.ideal, generators.n
         ):
             return previous
         previous = current
     raise NoStabilization(f"no stabilization up to degree {max_d}")
 
 
-def schreier_generators(
-    generators: GeneratorSet, member, index_bound: int, length_cap=None, product_cap=200_000
-):
+def schreier_generators(generators: GeneratorSet, member, index_bound: int, length_cap=None):
     """Generators of a finite-index subgroup via bounded word enumeration.
 
     Enumerates all products of generators and inverses of length at most
-    2*index_bound + 1 (deduplicated), keeping those the membership predicate
-    accepts.
+    2*index_bound + 1, or length_cap when given (deduplicated), keeping those
+    the membership predicate accepts.  Raises ResourceLimit past
+    MAX_SCHREIER_PRODUCTS distinct products.
     """
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
@@ -660,9 +653,9 @@ def schreier_generators(
                 prod = w * g
                 if prod.entries not in seen:
                     seen.add(prod.entries)
-                    if len(seen) > product_cap:
+                    if len(seen) > MAX_SCHREIER_PRODUCTS:
                         raise ResourceLimit(
-                            f"product enumeration exceeded {product_cap} matrices"
+                            f"product enumeration exceeded {MAX_SCHREIER_PRODUCTS} matrices"
                         )
                     ordered.append(prod)
                     nxt.append(prod)

@@ -30,7 +30,7 @@ class NonInvertibleUpdate(ZClosureError):
 
 
 class ResourceLimit(ZClosureError):
-    """A configured work budget (S-pairs, degree, span size, ...) was exceeded."""
+    """A fixed work budget (S-pairs, degree, coordinates, ...) was exceeded."""
 
 
 class NoStabilization(ZClosureError):

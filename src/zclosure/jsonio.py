@@ -46,8 +46,8 @@ def rat_to_str(q) -> str:
 
 
 def rat_from_str(s: str):
-    """A rational from a "p/q" string or an integer; floats and booleans are refused."""
-    if isinstance(s, (bool, float)):
+    """A rational from a "p/q" string or an integer; other JSON values are refused."""
+    if s is None or isinstance(s, (bool, float, list, dict)):
         raise ValueError(f'expected a rational as a "p/q" string or an integer, got {json.dumps(s)}')
     return rat(s)
 
@@ -198,7 +198,6 @@ def tower_from_json(obj) -> TowerNumber:
     if kind == "exact":
         return tower_exact(Fraction(obj["value"]))
     if kind == "pow":
-        # exact_bits=0 keeps the stored structure instead of re-collapsing
         return TowerNumber(
             "pow", base=tower_from_json(obj["base"]), exp=tower_from_json(obj["exp"])
         )
@@ -244,8 +243,12 @@ def bound_report_from_json(obj) -> BoundReport:
 
 
 def affine_program_from_json(obj) -> AffineProgram:
+    if not isinstance(obj, dict) or "num_vars" not in obj or not isinstance(obj.get("updates"), list):
+        raise ValueError('an affine program must be a JSON object with "num_vars" and a list "updates"')
     updates = []
-    for u in obj["updates"]:
+    for i, u in enumerate(obj["updates"]):
+        if not isinstance(u, dict) or "A" not in u or "b" not in u:
+            raise ValueError(f'updates[{i}] must be a JSON object with "A" and "b"')
         a = matrix_from_json(u["A"])
         b = [rat_from_str(x) for x in u["b"]]
         updates.append((a, b))

@@ -2,13 +2,12 @@
 
 Monomials are exponent tuples, polynomials are dicts mapping monomials to
 nonzero coefficients.  Gröbner bases use Buchberger's algorithm with the
-normal selection strategy and both classical pair-pruning criteria; a
-configurable budget caps the number of treated S-pairs and the total degree
-of intermediate polynomials.
+normal selection strategy and both classical pair-pruning criteria;
+MAX_S_PAIRS caps the number of treated S-pairs and MAX_GB_DEGREE the total
+degree of S-pairs and of intermediate polynomials in division.
 """
 
 import heapq
-from dataclasses import dataclass
 
 from .errors import ResourceLimit
 from ._rat import ZERO, ONE, rat
@@ -19,7 +18,6 @@ __all__ = [
     "LEX",
     "elimination_order",
     "Poly",
-    "GroebnerBudget",
     "Ideal",
     "normal_form",
     "groebner",
@@ -304,25 +302,19 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class GroebnerBudget:
-    """Caps for Buchberger runs; exceeding either raises ResourceLimit."""
-
-    max_pairs: int = 50_000
-    max_degree: int = 60
+# Buchberger and division raise ResourceLimit past these
+MAX_S_PAIRS = 50_000
+MAX_GB_DEGREE = 60
 
 
-DEFAULT_BUDGET = GroebnerBudget()
+def normal_form(f, basis, order=GREVLEX):
+    """Remainder of f under multivariate division by basis (full tail reduction);
+    ResourceLimit when a reduction step passes degree MAX_GB_DEGREE."""
+    return _divide(f, [(g.leading(order), g) for g in basis if g], order)
 
 
-def normal_form(f, basis, order=GREVLEX, budget=None):
-    """Remainder of f under multivariate division by basis (full tail reduction)."""
-    return _divide(f, [(g.leading(order), g) for g in basis if g], order, budget)
-
-
-def _divide(f, divisors, order, budget):
+def _divide(f, divisors, order):
     """normal_form against ((lm, lc), g) pairs whose leading terms are known."""
-    max_degree = budget.max_degree if budget else None
     p = dict(f.terms)
     remainder = {}
     while p:
@@ -339,9 +331,9 @@ def _divide(f, divisors, order, budget):
         lm, lc, g = hit
         q = _mono_div(m, lm)
         factor = c / lc
-        if max_degree is not None and sum(q) + g.total_degree() > max_degree:
+        if sum(q) + g.total_degree() > MAX_GB_DEGREE:
             raise ResourceLimit(
-                f"intermediate degree exceeded {max_degree} during division"
+                f"intermediate degree exceeded {MAX_GB_DEGREE} during division"
             )
         for gm, gc in g.terms.items():
             if gm == lm:
@@ -367,12 +359,13 @@ def _s_poly(head_f, head_g):
     return mf * f - mg * g
 
 
-def groebner(generators, order=GREVLEX, budget=DEFAULT_BUDGET):
+def groebner(generators, order=GREVLEX):
     """Reduced Gröbner basis of the given generators under order.
 
     Deterministic: normal selection strategy (S-pairs by ascending lcm, ties
     by index), coprime and chain pair pruning, then canonical inter-reduction
-    and monic scaling.
+    and monic scaling.  Raises ResourceLimit past MAX_S_PAIRS treated pairs
+    or an S-pair of degree above MAX_GB_DEGREE.
     """
     basis = [g for g in generators if g]
     if not basis:
@@ -419,13 +412,13 @@ def groebner(generators, order=GREVLEX, budget=DEFAULT_BUDGET):
         if chain_skip(i, j, lcm):
             continue
         treated += 1
-        if treated > budget.max_pairs:
-            raise ResourceLimit(f"S-pair budget {budget.max_pairs} exceeded")
-        if sum(lcm) > budget.max_degree:
+        if treated > MAX_S_PAIRS:
+            raise ResourceLimit(f"S-pair budget {MAX_S_PAIRS} exceeded")
+        if sum(lcm) > MAX_GB_DEGREE:
             raise ResourceLimit(
-                f"S-pair degree {sum(lcm)} exceeds budget {budget.max_degree}"
+                f"S-pair degree {sum(lcm)} exceeds budget {MAX_GB_DEGREE}"
             )
-        r = _divide(_s_poly(heads[i], heads[j]), heads, order, budget)
+        r = _divide(_s_poly(heads[i], heads[j]), heads, order)
         if r:
             head = r.leading(order)
             heads.append((head, r))
@@ -450,7 +443,7 @@ def groebner(generators, order=GREVLEX, budget=DEFAULT_BUDGET):
     reduced = []
     for i, (_, g) in enumerate(minimal):
         others = [h for j, h in enumerate(minimal) if j != i]
-        r = _divide(g, others, order, budget)
+        r = _divide(g, others, order)
         if r:
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
@@ -475,9 +468,9 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb = {}
 
-    def groebner(self, order=GREVLEX, budget=DEFAULT_BUDGET):
+    def groebner(self, order=GREVLEX):
         if order not in self._gb:
-            self._gb[order] = tuple(groebner(self.generators, order, budget))
+            self._gb[order] = tuple(groebner(self.generators, order))
         return list(self._gb[order])
 
     def is_zero(self):
@@ -487,7 +480,7 @@ class Ideal:
         return f"Ideal(arity={self.arity}, {len(self.generators)} generators)"
 
 
-def eliminate(ideal, drop_first_k, budget=DEFAULT_BUDGET):
+def eliminate(ideal, drop_first_k):
     """Generators of ideal ∩ K[x_{k+1}, ..] as an Ideal in arity - k variables.
 
     The kept elements of the reduced elimination-order basis are the reduced
@@ -500,7 +493,7 @@ def eliminate(ideal, drop_first_k, budget=DEFAULT_BUDGET):
         raise ValueError("must keep at least one variable")
     if k == 0:
         return Ideal(ideal.arity, ideal.generators)
-    gb = ideal.groebner(elimination_order(k), budget)
+    gb = ideal.groebner(elimination_order(k))
     kept = []
     for g in gb:
         if all(not any(m[:k]) for m in g.terms):
@@ -510,20 +503,20 @@ def eliminate(ideal, drop_first_k, budget=DEFAULT_BUDGET):
     return result
 
 
-def ideal_member(f, ideal, budget=DEFAULT_BUDGET):
+def ideal_member(f, ideal):
     if f.arity != ideal.arity:
         raise ValueError("arity mismatch")
     if not f:
         return True
-    return not normal_form(f, ideal.groebner(GREVLEX, budget), GREVLEX, budget)
+    return not normal_form(f, ideal.groebner(GREVLEX), GREVLEX)
 
 
-def ideal_equal(a, b, budget=DEFAULT_BUDGET):
+def ideal_equal(a, b):
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
     if a.generators == b.generators:
         return True
-    return a.groebner(GREVLEX, budget) == b.groebner(GREVLEX, budget)
+    return a.groebner(GREVLEX) == b.groebner(GREVLEX)
 
 
 def substitute_linear(ideal, a_matrix):

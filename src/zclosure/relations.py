@@ -24,7 +24,12 @@ __all__ = [
     "masser_box_bound",
 ]
 
-DEFAULT_FACTOR_BOUND = 10**6
+# Trial divisors run up to FACTOR_BOUND, so a cofactor left below its square is
+# prime.  Each division is charged the bit length of the value divided, up to
+# FACTOR_WORK_BITS per integer: about half a second, or every trial division
+# of a 1500-bit value.
+FACTOR_BOUND = 10**6
+FACTOR_WORK_BITS = 5 * 10**8
 
 
 class EigenSpec:
@@ -70,11 +75,13 @@ class RelationLattice:
         return f"RelationLattice(n={self.n}, basis={self.basis.row_lists()})"
 
 
-def factor_rational(q, bound=DEFAULT_FACTOR_BOUND):
+def factor_rational(q):
     """(sign, {prime: exponent}) of a nonzero rational, by trial division.
 
     Denominator primes get negative exponents.  Raises ResourceLimit when a
-    factor above bound^2 remains (a leftover below that is a prime).
+    factor above FACTOR_BOUND^2 remains (a leftover below that is a prime),
+    and when factoring the numerator or the denominator charges more than
+    FACTOR_WORK_BITS.
     """
     q = rat(q)
     if not q:
@@ -82,23 +89,29 @@ def factor_rational(q, bound=DEFAULT_FACTOR_BOUND):
     sign = 1 if q > 0 else -1
     exps = {}
     for value, direction in ((abs(int(q.numerator)), 1), (int(q.denominator), -1)):
-        for p, e in _factor_int(value, bound).items():
+        for p, e in _factor_int(value).items():
             exps[p] = exps.get(p, 0) + direction * e
     return sign, {p: e for p, e in exps.items() if e}
 
 
-def _factor_int(n, bound):
+def _factor_int(n):
     out = {}
-    for p in _trial_primes(bound):
+    work = 0
+    for p in _trial_primes(FACTOR_BOUND):
         if p * p > n:
             break
-        while n % p == 0:
+        while True:
+            work += n.bit_length()
+            if work > FACTOR_WORK_BITS:
+                raise ResourceLimit(f"trial division exceeded its work budget of {FACTOR_WORK_BITS} bits")
+            if n % p:
+                break
             out[p] = out.get(p, 0) + 1
             n //= p
     if n > 1:
-        if n > bound * bound:
+        if n > FACTOR_BOUND * FACTOR_BOUND:
             raise ResourceLimit(
-                f"prime factor of {n} exceeds the trial-division bound {bound}"
+                f"prime factor of {n} exceeds the trial-division bound {FACTOR_BOUND}"
             )
         out[n] = out.get(n, 0) + 1
     return out
@@ -114,7 +127,7 @@ def _trial_primes(bound):
         k += 6
 
 
-def rational_relation_lattice(spec, bound=DEFAULT_FACTOR_BOUND) -> RelationLattice:
+def rational_relation_lattice(spec) -> RelationLattice:
     """Basis of {k in Z^n : prod values_i^(k_i) = 1} for rational values.
 
     Kernel of the prime-exponent matrix intersected with the sign condition
@@ -123,7 +136,7 @@ def rational_relation_lattice(spec, bound=DEFAULT_FACTOR_BOUND) -> RelationLatti
     if not isinstance(spec, EigenSpec):
         spec = EigenSpec(spec)
     n = len(spec)
-    factored = [factor_rational(v, bound) for v in spec.values]
+    factored = [factor_rational(v) for v in spec.values]
     primes = sorted({p for _, exps in factored for p in exps})
     matrix = IntMatrix.from_rows(
         [[factored[i][1].get(p, 0) for i in range(n)] for p in primes]
@@ -164,7 +177,7 @@ def lattice_to_binomial_ideal(lattice: RelationLattice) -> Ideal:
     return Ideal(n, gens)
 
 
-def masser_box_bound(n: int, h: int, D: int, c=1, bits: int = 64) -> TowerNumber:
+def masser_box_bound(n: int, h: int, D: int, c=1) -> TowerNumber:
     """Entry bound for a generating set of the relation lattice.
 
     (c n ln h)^(n-1) D^(n-1) (ln(D+2))^(3n-3) / (lnln(D+2))^(3n-4),
@@ -179,9 +192,9 @@ def masser_box_bound(n: int, h: int, D: int, c=1, bits: int = 64) -> TowerNumber
         raise ValueError("the absolute constant c must be positive")
     if n == 1:
         return tower_exact(1)
-    ln_h_hi = ln_bounds(h, bits)[1]
-    ln_d2_lo, ln_d2_hi = ln_bounds(D + 2, bits)
-    lnln_d2_lo = ln_bounds(ln_d2_lo, bits)[0]
+    ln_h_hi = ln_bounds(h)[1]
+    ln_d2_lo, ln_d2_hi = ln_bounds(D + 2)
+    lnln_d2_lo = ln_bounds(ln_d2_lo)[0]
     if lnln_d2_lo <= 0:
         raise ValueError("D too small for the log-log denominator")
     value = (

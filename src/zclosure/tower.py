@@ -2,8 +2,8 @@
 
 A TowerNumber is an exact positive real: either a rational, or a symbolic
 power / factorial / product / sum over other TowerNumbers.  Nodes collapse
-to exact rationals whenever the result stays below a configurable bit-length
-threshold.  Comparisons first try exact values and structural monotone
+to exact rationals whenever the result stays below DEFAULT_EXACT_BITS
+bits.  Comparisons first try exact values and structural monotone
 reduction (shared subtrees cancel), then fall back to rational interval
 bounds of iterated base-2 logarithms at a stored precision.
 
@@ -144,7 +144,7 @@ class TowerNumber:
 
     kind is one of "exact", "pow", "factorial", "mul", "add".  Use the
     tower_* constructors; they canonicalize and collapse to exact form when
-    the result fits in ``exact_bits`` bits.
+    the result fits in DEFAULT_EXACT_BITS bits.
     """
 
     __slots__ = ("kind", "value", "base", "exp", "arg", "coeff", "factors", "const", "terms", "_key")
@@ -266,9 +266,8 @@ def _pow_bits_estimate(base: Fraction, exp: Fraction):
     return e * max(1, _frac_bits(base)) + 1
 
 
-def tower_pow(base, exp, exact_bits=None):
+def tower_pow(base, exp):
     base, exp = _coerce(base), _coerce(exp)
-    limit = DEFAULT_EXACT_BITS if exact_bits is None else exact_bits
     if exp.is_exact and exp.value == 0:
         return tower_exact(1)
     if exp.is_exact and exp.value == 1:
@@ -277,18 +276,17 @@ def tower_pow(base, exp, exact_bits=None):
         return tower_exact(1)
     if base.is_exact and exp.is_exact and exp.value.denominator == 1:
         est = _pow_bits_estimate(base.value, exp.value)
-        if est is not None and est <= limit:
+        if est is not None and est <= DEFAULT_EXACT_BITS:
             return tower_exact(base.value ** int(exp.value))
     return TowerNumber("pow", base=base, exp=exp)
 
 
-def tower_fact(arg, exact_bits=None):
+def tower_fact(arg):
     arg = _coerce(arg)
-    limit = DEFAULT_EXACT_BITS if exact_bits is None else exact_bits
     if arg.is_exact and arg.value.denominator == 1:
         n = int(arg.value)
         # bit length of n! is about n log2(n/e); cheap upper estimate n*bits(n)
-        if n <= 2 or n * n.bit_length() <= limit:
+        if n <= 2 or n * n.bit_length() <= DEFAULT_EXACT_BITS:
             return tower_exact(math.factorial(n))
     return TowerNumber("factorial", arg=arg)
 
@@ -576,14 +574,33 @@ def _lval_add(u, v, bits):
         return _normalize((0, u[1] + v[1], u[2] + v[2]), bits)
     big, small = (u, v) if u[1] >= v[1] else (v, u)
     lo = big[1]
-    if small[2] <= big[1] - 1:
-        # dominated summand: the +1 of x+y <= 2x happens at level 1 and
-        # shrinks through each further log; for huge towers it is negligible
-        if k >= 3 and big[1] >= 2:
-            return (k, lo, big[2] + Fraction(1, 1 << 20))
-        if k == 2 and big[1] >= 30:
-            return (k, lo, big[2] + Fraction(1, 1 << 20))
+    if lo >= 0 and small[2] <= lo - 1:
+        return (k, lo, big[2] + _dominated_margin(k, lo, lo - small[2], bits))
     return (k, lo, max(u[2], v[2]) + 1)
+
+
+# an upper bound of log2(1/ln 2) = 0.5288...
+_LOG2_INV_LN2 = Fraction(17, 32)
+
+
+def _dominated_margin(k, lo, gap, bits):
+    """A power of two in [2^-bits, 1] bounding log2^k(x + y) - log2^k(x), given
+    0 <= lo <= X_k and X_k - Y_k >= gap >= 1 (X_j = log2^j x, Y_j = log2^j y).
+
+    The growth is at most min(1, 2^-(X_1 - Y_1) / ln 2) at level 1, and
+    log2(a + d) <= log2 a + d / (a ln 2) divides it by X_j ln 2 per level.
+    X_j = 2^X_{j+1} and X_j - Y_j = X_j (1 - 2^-(X_{j+1} - Y_{j+1})) carry
+    lower bounds down from level k, rounded down and capped.
+    """
+    cap = bits + 8
+    x, g = min(lo, cap), min(gap, cap)
+    log_margin = 0
+    for _ in range(k - 1):
+        log_margin += _LOG2_INV_LN2 - x  # log2 of 1 / (X_j ln 2), X_j = 2^x
+        x = min(Fraction(2) ** math.floor(x), cap)
+        g = min(x * (1 - Fraction(1, 1 << math.floor(g))), cap)
+    log_margin += min(0, _LOG2_INV_LN2 - g)
+    return Fraction(2) ** max(min(math.ceil(log_margin), 0), -bits)
 
 
 def _lval_mul(u, v, bits, depth):

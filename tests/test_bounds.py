@@ -15,6 +15,7 @@ from zclosure.bounds import (
     schreier_height_bound,
     closure_degree_bound,
 )
+from zclosure import tower
 from zclosure.errors import ResourceLimit
 from zclosure.tower import tower_add, tower_cmp, tower_exact, tower_mul
 
@@ -55,9 +56,11 @@ class TestGeneralIndex:
         t = general_index_bound(1)
         assert t.kind == "factorial"
 
-    def test_inner_value_exact_when_raised(self):
+    def test_inner_value_exact_when_raised(self, monkeypatch):
         # D = 256, inner = 2 (257^262144 + 1)^2: ~4.2e6 bits, exact if allowed
-        t = general_index_bound(1, exact_bits=8_000_000)
+        assert not general_index_bound(1).arg.is_exact
+        monkeypatch.setattr(tower, "DEFAULT_EXACT_BITS", 8_000_000)
+        t = general_index_bound(1)
         assert t.kind == "factorial"
         assert t.arg.is_exact
         assert t.arg.value == 2 * (257**262144 + 1) ** 2

@@ -121,6 +121,15 @@ class TestClosureCommand:
         assert "10272278170 monomial coordinates" in err
         assert time.perf_counter() - start < 1
 
+    def test_exponent_budget(self, capsys):
+        # 10^(10^7) would be a 33M-bit integer before any engine budget applies
+        gens = {"n": 1, "generators": [[["1e10000000"]]]}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "closure", "--generators", json.dumps(gens), "--degree", "1")
+        assert code == 3
+        assert "decimal exponent" in err
+        assert time.perf_counter() - start < 1
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -177,6 +186,22 @@ class TestInvariantCommand:
         payload = run_json(capsys, "invariant", "--program", path, "--degree", "2")
         jsonschema.validate(payload["ideal"], SCHEMAS["ideal"])
         assert "x1^2 + x2^2 - x1_0^2 - x2_0^2" in payload["ideal"]["text"]
+
+    @pytest.mark.parametrize(
+        "program, field",
+        [
+            ({"num_vars": 1}, '"num_vars" and a list "updates"'),
+            ({"num_vars": 1, "updates": [[1]]}, "updates[0]"),
+            ({"num_vars": 1, "updates": [{"A": [[None]], "b": ["0"]}]}, "expected a rational"),
+        ],
+        ids=["no-updates", "update-not-object", "null-entry"],
+    )
+    def test_shape_error_names_field(self, capsys, program, field):
+        code, out, err = run(
+            capsys, "invariant", "--program", json.dumps(program), "--degree", "1"
+        )
+        assert code == 2
+        assert field in err
 
     def test_non_invertible_update(self, capsys):
         program = {"num_vars": 1, "updates": [{"A": [["0"]], "b": ["1"]}]}
@@ -238,6 +263,14 @@ class TestRelationsCommand:
             capsys, "relations", "--matrix", json.dumps([[str(10**15 + 37)]])
         )
         assert code == 3
+        assert time.perf_counter() - start < 2
+
+    def test_long_integer_hits_factor_work_budget(self, capsys):
+        # 10^100000 written out: 200000 trial divisions of up to 332k bits each
+        start = time.perf_counter()
+        code, out, err = run(capsys, "relations", "--eigenvalues", json.dumps(["1" + "0" * 100000]))
+        assert code == 3
+        assert "work budget" in err
         assert time.perf_counter() - start < 2
 
     def test_many_root_candidates_hit_search_budget(self, capsys):

@@ -31,7 +31,7 @@ from zclosure.closure import (
     random_words_vanish,
     schreier_generators,
 )
-from zclosure import poly
+from zclosure import closure, poly
 from zclosure.linalg import EchelonBasis, QMatrix
 from zclosure.poly import GREVLEX, Ideal, Poly, groebner, ideal_equal, ideal_member
 from zclosure.structure import one_parameter
@@ -263,10 +263,6 @@ class TestInvariants:
         assert res.certified == "heuristic-stable"
         res = invariants_up_to_degree(sl2_generators(), 1, degree_dominates=True)
         assert res.certified == "degree-complete"
-
-    def test_span_cap(self):
-        with pytest.raises(ResourceLimit):
-            invariants_up_to_degree(sl2_generators(), 2, span_cap=5)
 
     def test_example2_minimal_degrees(self):
         for p in (1, 2, 3):
@@ -599,9 +595,10 @@ class TestSchreier:
         out = schreier_generators(GeneratorSet([rot]), lambda g: g.is_identity(), 4)
         assert len(out) == 1 and out[0].is_identity()
 
-    def test_product_cap(self):
-        with pytest.raises(ResourceLimit):
-            schreier_generators(sl2_generators(), lambda g: True, 3, product_cap=10)
+    def test_product_cap(self, monkeypatch):
+        monkeypatch.setattr(closure, "MAX_SCHREIER_PRODUCTS", 10)
+        with pytest.raises(ResourceLimit, match="exceeded 10 matrices"):
+            schreier_generators(sl2_generators(), lambda g: True, 3)
 
 
 FINITE_GROUPS = [

@@ -7,6 +7,7 @@ import pytest
 from zclosure.affine import AffineProgram
 from zclosure.bounds import general_index_bound, chain_bounds, closure_degree_bound
 from zclosure.closure import GeneratorSet
+from zclosure.errors import ResourceLimit
 from zclosure.jsonio import (
     SCHEMAS,
     affine_program_from_json,
@@ -47,6 +48,12 @@ class TestRationals:
     def test_fraction(self):
         assert rat_to_str(rat(-7, 2)) == "-7/2"
         assert rat_from_str("-7/2") == rat(-7, 2)
+        assert rat_from_str("3/4") == rat(3, 4)
+        assert rat_from_str("1e3") == rat(1000)
+        assert rat_from_str("5e-2") == rat(1, 20)
+        assert rat_from_str("1e10000") == rat(10**10000)
+        with pytest.raises(ResourceLimit):
+            rat_from_str("1e-10001")
 
     def test_round_trip(self):
         rng = random.Random(1)

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from zclosure import poly
 from zclosure.errors import ResourceLimit
 from zclosure.linalg import QMatrix
 from zclosure.poly import (
     GREVLEX,
     LEX,
-    GroebnerBudget,
     Ideal,
     MonomialOrder,
     Poly,
@@ -184,23 +184,23 @@ class TestGroebner:
         b = groebner(list(gens), GREVLEX)
         assert [repr(p) for p in a] == [repr(p) for p in b]
 
-    def test_pair_budget(self):
+    def test_pair_budget(self, monkeypatch):
         x, y = vars2()
-        with pytest.raises(ResourceLimit):
-            groebner(
-                [x**3 - 2 * x * y, x**2 * y - 2 * y**2 + x],
-                GREVLEX,
-                GroebnerBudget(max_pairs=1, max_degree=60),
-            )
+        monkeypatch.setattr(poly, "MAX_S_PAIRS", 1)
+        with pytest.raises(ResourceLimit, match="S-pair budget 1 exceeded"):
+            groebner([x**3 - 2 * x * y, x**2 * y - 2 * y**2 + x], GREVLEX)
 
     def test_degree_budget(self):
+        # the S-pair of x^61 - y and x^62 - y has degree 62 > MAX_GB_DEGREE
         x, y = vars2()
-        with pytest.raises(ResourceLimit):
-            groebner(
-                [x**5 - y, x**6 - y],
-                GREVLEX,
-                GroebnerBudget(max_pairs=1000, max_degree=4),
-            )
+        with pytest.raises(ResourceLimit, match="S-pair degree 62"):
+            groebner([x**61 - y, x**62 - y], GREVLEX)
+
+    def test_normal_form_degree_budget(self):
+        # division of x^61 by x - y steps through x^60 * (x - y)
+        x, y = vars2()
+        with pytest.raises(ResourceLimit, match="intermediate degree"):
+            normal_form(x**61, [x - y], GREVLEX)
 
 
 # independent elimination oracle: Sylvester resultant with polynomial entries

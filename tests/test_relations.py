@@ -30,12 +30,19 @@ class TestFactor:
         assert factor_rational(rat(1)) == (1, {})
 
     def test_large_prime_rejected(self):
-        with pytest.raises(ResourceLimit):
-            factor_rational(rat((10**9 + 7) ** 2 * (10**9 + 9)), bound=1000)
+        # no prime factor below FACTOR_BOUND, and the cofactor is above its square
+        with pytest.raises(ResourceLimit, match="trial-division bound"):
+            factor_rational(rat((10**9 + 7) ** 2 * (10**9 + 9)))
 
     def test_leftover_prime_accepted(self):
-        # a single prime above the bound but below bound^2 is still exact
-        assert factor_rational(rat(9973), bound=100) == (1, {9973: 1})
+        # a prime above the last trial divisor squared but below FACTOR_BOUND^2
+        # is left over after every trial division and is still exact
+        assert factor_rational(rat(999999999989)) == (1, {999999999989: 1})
+
+    def test_work_budget(self):
+        # 10^100000 = 2^100000 5^100000: each division costs its 332k bits
+        with pytest.raises(ResourceLimit, match="work budget"):
+            factor_rational(rat(10**100000))
 
 
 def lattice_rows(values):

@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from zclosure import tower
 from zclosure.tower import (
+    _lift,
+    _lval_add,
+    _normalize,
     DEFAULT_EXACT_BITS,
+    TowerNumber,
     ln_bounds,
     log2_bounds,
     tower_add,
@@ -75,11 +81,14 @@ class TestConstruction:
         assert t.kind == "pow"
         assert t.exp.is_exact  # 2^75 itself collapses
 
-    def test_threshold_is_configurable(self):
-        big = tower_pow(3, 10**6, exact_bits=10)
+    def test_threshold_is_configurable(self, monkeypatch):
+        # tower_pow and tower_fact read DEFAULT_EXACT_BITS at call time
+        monkeypatch.setattr(tower, "DEFAULT_EXACT_BITS", 10)
+        big = tower_pow(3, 10**6)
         assert big.kind == "pow"
-        small = tower_pow(3, 4, exact_bits=10)
+        small = tower_pow(3, 4)
         assert small.is_exact and small.value == 81
+        assert tower_fact(10).kind == "factorial"
 
     def test_factorial_collapse(self):
         assert tower_fact(50).value == math.factorial(50)
@@ -111,8 +120,8 @@ class TestComparison:
             want = (x > y) - (x < y)
             assert tower_cmp(tower_exact(x), tower_exact(y)) == want
             # the same values built symbolically must compare the same way
-            sx = tower_pow(x, 3, exact_bits=1)
-            sy = tower_pow(y, 3, exact_bits=1)
+            sx = TowerNumber("pow", base=tower_exact(x), exp=tower_exact(3))
+            sy = TowerNumber("pow", base=tower_exact(y), exp=tower_exact(3))
             if x != y:
                 assert tower_cmp(sx, sy) == want
 
@@ -164,3 +173,48 @@ class TestComparison:
                 assert tower_cmp(a, b) == -tower_cmp(b, a)
                 if i < j:
                     assert tower_cmp(a, b) == -1
+
+
+def _iterated_log2_enclosure(value: Fraction, k: int, prec: int):
+    """[lo, hi] Fractions around log2^k(value), by mpmath interval arithmetic."""
+    saved, mpmath.iv.prec = mpmath.iv.prec, prec
+    try:
+        t = mpmath.iv.mpf(value.numerator) / value.denominator
+        for _ in range(k):
+            t = mpmath.iv.log(t) / mpmath.iv.log(2)
+    finally:
+        mpmath.iv.prec = saved
+    lo, hi = ((-1) ** sign * Fraction(man) * Fraction(2) ** exp for sign, man, exp, _ in t._mpi_)
+    return lo, hi
+
+
+def _leveled(value: Fraction, k: int, bits: int):
+    lv = _normalize((0, value, value), bits)
+    while lv[0] < k:
+        lv = _lift(lv, bits)
+    return lv
+
+
+@st.composite
+def summands(draw):
+    """x >= y >= 4, so log2^3 of both is defined, from close to far apart."""
+    q = draw(st.integers(1, 2**16))
+    y = Fraction(4 * q + draw(st.integers(0, 2**64)), q)
+    z = Fraction(draw(st.integers(0, 2**64)), draw(st.integers(1, 2**16)))
+    x = y + z * 2 ** draw(st.integers(0, 3000))
+    return x, y, draw(st.integers(0, 3))
+
+
+class TestLeveledSum:
+    @settings(max_examples=100, deadline=None)
+    @given(summands())
+    @example((Fraction(2**16), Fraction(16), 3))
+    @example((Fraction(2**16), Fraction(16), 2))
+    @example((Fraction(2**100), Fraction(3 * 2**90), 3))
+    def test_encloses_iterated_log_of_sum(self, case):
+        # log2^3(2^16 + 16) = 2 + 2^-16.4: a fixed 2^-20 margin is too small
+        x, y, k = case
+        bits = 128
+        level, lo, hi = _lval_add(_leveled(x, k, bits), _leveled(y, k, bits), bits)
+        true_lo, true_hi = _iterated_log2_enclosure(x + y, level, 2 * bits + 64)
+        assert lo <= true_hi and true_lo <= hi
