@@ -158,7 +158,11 @@ def _cmd_relations(args):
 
 def _cmd_unipotent_closure(args):
     data = _load_json(args.matrices)
-    mats = [matrix_from_json(m) for m in (data["matrices"] if isinstance(data, dict) else data)]
+    if isinstance(data, dict):
+        data = data.get("matrices")
+    if not isinstance(data, list):
+        raise ValueError('matrices must be a list of matrices or a JSON object with a list "matrices"')
+    mats = [matrix_from_json(m, f"matrices[{i}]") for i, m in enumerate(data)]
     if not mats:
         raise ValueError("need at least one matrix")
     ideal = _reduced(closure_unipotent_product(mats))

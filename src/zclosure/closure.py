@@ -15,7 +15,7 @@ and Schreier generator enumeration for finite-index subgroups.
 
 from collections import deque
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import (
     NoStabilization,
@@ -166,6 +166,13 @@ def _lift_table(m: int, d: int):
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _lift_codegrees(m: int, d: int):
+    """(d - degree in the first m - 1 variables, d - degree in the last) per
+    coordinate of monomial_basis(m, d)."""
+    return tuple((d - sum(mono[:-1]), d - mono[-1]) for mono in monomial_basis(m, d))
+
+
 def _lift(coords, d, one):
     """All monomials of degree <= d in coords, one product per monomial."""
     out = [one]
@@ -258,17 +265,70 @@ class ClosureResult:
         )
 
 
+def _int_element(g: QMatrix):
+    """g as (H, D, a, b): g = H / D and 1/det g = a / b, each in lowest terms, D, b > 0."""
+    den = lcm(*(int(e.denominator) for e in g.entries))
+    y = ONE / g.det()
+    return (
+        tuple(int(e.numerator) * (den // int(e.denominator)) for e in g.entries),
+        den,
+        int(y.numerator),
+        int(y.denominator),
+    )
+
+
+def _int_product(g, w, n):
+    """The element g·w of two (H, D, a, b) elements, in lowest terms."""
+    gh, gd, ga, gb = g
+    wh, wd, wa, wb = w
+    h = [
+        sum(gh[i * n + k] * wh[k * n + j] for k in range(n))
+        for i in range(n)
+        for j in range(n)
+    ]
+    den = gd * wd
+    c = gcd(den, *h)
+    a, b = ga * wa, gb * wb
+    e = gcd(a, b)
+    return tuple(x // c for x in h), den // c, a // e, b // e
+
+
+def _scaled_lift(element, d):
+    """An integer vector proportional to the monomial lift of the element.
+
+    The lift of (H / D, a / b) at a monomial of degree e in the entries and k
+    in y is H^alpha a^k / (D^e b^k); times D^d b^d it is an integer.
+    """
+    h, den, a, b = element
+    out = _lift(h + (a,), d, 1)
+    if den == 1 and b == 1:
+        return out
+    dpow = [den**i for i in range(d + 1)]
+    bpow = [b**i for i in range(d + 1)]
+    return [x * dpow[i] * bpow[j] for x, (i, j) in zip(out, _lift_codegrees(len(h) + 1, d))]
+
+
+def _rational_lift(element, d):
+    """The monomial lift of an (H, D, a, b) element, as RAT values."""
+    h, den, a, b = element
+    return _lift(tuple(rat(x, den) for x in h) + (rat(a, b),), d, ONE)
+
+
 def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     """Span of the monomial lifts of the generated group, saturated from the identity.
 
-    Each basis vector is the lift of a group element W, kept as (W, 1/det W);
-    its image under generator g is the lift of g·W.  Breadth-first over
-    (basis vector, generator) pairs in insertion order, so the witness words
-    and the resulting basis are reproducible; words[i] lists the generators
-    applied, first to last.  Pivots are chosen in ascending grevlex order,
-    so the free column of each kernel vector is its grevlex leading monomial.
-    Raises ResourceLimit before building anything when C(m + d, d), which
-    also bounds the span's dimension, exceeds MAX_COORDINATES.
+    Each basis vector is the lift of a group element W, kept exactly on ints
+    as (H, D, a, b) with W = H / D and 1/det W = a / b; its image under
+    generator g is the lift of g·W.  The echelon receives an integer vector
+    proportional to each lift, which decides independence and pivots
+    exactly as the lift would; the rational lift is built only for the
+    witnesses it accepts.  Breadth-first over (basis vector, generator)
+    pairs in insertion order, so the witness words and the resulting basis
+    are reproducible; words[i] lists the generators applied, first to last.
+    Pivots are chosen in ascending grevlex order, so the free column of each
+    kernel vector is its grevlex leading monomial.  Raises ResourceLimit
+    before building anything when C(m + d, d), which also bounds the span's
+    dimension, exceeds MAX_COORDINATES.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -277,24 +337,20 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     size = comb(m + d, d)
     if size > MAX_COORDINATES:
         raise ResourceLimit(f"{size} monomial coordinates exceed the limit {MAX_COORDINATES}")
-    gens = [(g, ONE / g.det()) for g in generators.with_inverses]
+    gens = [_int_element(g) for g in generators.with_inverses]
     echelon = EchelonBasis(size, _grevlex_priority(m, d))
-    identity = QMatrix.identity(n)
-    v0 = _lift(identity.entries + (ONE,), d, ONE)
-    echelon.insert(v0)
-    vectors = [v0]
-    elements = [(identity, ONE)]
+    identity = _int_element(QMatrix.identity(n))
+    echelon.insert(_scaled_lift(identity, d))
+    vectors = [_rational_lift(identity, d)]
+    elements = [identity]
     words = [()]
     queue = deque((0, gi) for gi in range(len(gens)))
     while queue:
         vi, gi = queue.popleft()
-        g, y = gens[gi]
-        w, yw = elements[vi]
-        h, yh = g * w, y * yw
-        image = _lift(h.entries + (yh,), d, ONE)
-        if echelon.insert(image):
-            vectors.append(image)
-            elements.append((h, yh))
+        h = _int_product(gens[gi], elements[vi], n)
+        if echelon.insert(_scaled_lift(h, d)):
+            vectors.append(_rational_lift(h, d))
+            elements.append(h)
             words.append(words[vi] + (gi,))
             new_index = len(vectors) - 1
             queue.extend((new_index, gj) for gj in range(len(gens)))

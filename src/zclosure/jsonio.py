@@ -56,7 +56,14 @@ def matrix_to_json(m: QMatrix):
     return [[rat_to_str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def matrix_from_json(rows) -> QMatrix:
+def matrix_from_json(rows, field="matrix") -> QMatrix:
+    """A matrix from a list of equal-length row lists; field names it in errors."""
+    if (
+        not isinstance(rows, list)
+        or not all(isinstance(row, list) for row in rows)
+        or len({len(row) for row in rows}) > 1
+    ):
+        raise ValueError(f"{field} must be a list of equal-length lists")
     return QMatrix.from_rows([[rat_from_str(e) for e in row] for row in rows])
 
 
@@ -67,7 +74,11 @@ def generators_to_json(gens: GeneratorSet):
 def generators_from_json(obj) -> GeneratorSet:
     if not isinstance(obj, dict) or "n" not in obj or "generators" not in obj:
         raise ValueError('generators must be a JSON object with "n" and "generators"')
-    mats = [matrix_from_json(m) for m in obj["generators"]]
+    if not isinstance(obj["generators"], list):
+        raise ValueError('"generators" must be a list of matrices')
+    if type(obj["n"]) is not int:
+        raise ValueError('"n" must be an integer')
+    mats = [matrix_from_json(m, f"generators[{i}]") for i, m in enumerate(obj["generators"])]
     gens = GeneratorSet(mats)
     if gens.n != obj["n"]:
         raise ValueError("generator size does not match n")
@@ -249,7 +260,7 @@ def affine_program_from_json(obj) -> AffineProgram:
     for i, u in enumerate(obj["updates"]):
         if not isinstance(u, dict) or "A" not in u or "b" not in u:
             raise ValueError(f'updates[{i}] must be a JSON object with "A" and "b"')
-        a = matrix_from_json(u["A"])
+        a = matrix_from_json(u["A"], f"updates[{i}].A")
         b = [rat_from_str(x) for x in u["b"]]
         updates.append((a, b))
     return AffineProgram(obj["num_vars"], updates)

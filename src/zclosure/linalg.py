@@ -2,10 +2,14 @@
 
 Matrices are immutable and dense, entries are reduced fractions, and every
 operation is exact.  One incremental echelon form, EchelonBasis, whose rows
-are stored sparsely, serves the span fixed point, rref, rank, kernels and
-inverses (det keeps its own loop for the pivot product); row_hnf serves
-integer kernels.
+are stored sparsely as integer numerators over one denominator each, serves
+the span fixed point, rref, rank, kernels and inverses (det keeps its own
+loop for the pivot product); its arithmetic is on Python ints only, and it
+hands out RAT values.  row_hnf serves integer kernels.
 """
+
+from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import SingularMatrix
 from ._rat import ZERO, ONE, rat, height
@@ -346,17 +350,25 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(basis) if basis else IntMatrix(0, c, [])
 
 
+_denominator = attrgetter("denominator")
+
+
 class EchelonBasis:
-    """Incremental echelon form over the rationals, with sparse rows.
+    """Incremental echelon form over the rationals, with sparse integer rows.
 
     Feeds the span fixed point: vectors are inserted one at a time; an
     insertion reports whether the vector enlarged the span.  Stored rows are
     normalized to pivot 1 and fully reduced against each other.
 
-    Each row is kept as its tail, a dict {column: coefficient} of its nonzero
-    entries off the pivot (the pivot entry is 1 and not stored; no stored
-    coefficient is zero), so reduction touches only stored nonzeros.  rows is
-    a dense read-only view, built on access, in insertion order.
+    Each row is kept fraction-free as its tail, a dict {column: int} of the
+    numerators of its nonzero entries off the pivot, over a positive
+    denominator den with gcd(den, tail) = 1: the row is e_pivot + tail / den.
+    The pivot entry is 1 and not stored, and no stored numerator is zero, so
+    reduction touches only stored nonzeros.  Inserted and reduced vectors
+    may hold ints or rationals; their denominators are cleared once on entry
+    and all further arithmetic is on ints (fraction-free elimination in the
+    spirit of Bareiss 1968).  rows, rref_rows, kernel and reduce return RAT
+    values, built on access; rows is in insertion order.
 
     priority is the column order in which pivots are chosen (default: column
     order): a row's pivot is its first nonzero entry in that order, so every
@@ -366,12 +378,13 @@ class EchelonBasis:
     vectors are independent does not depend on the priority.
     """
 
-    __slots__ = ("length", "pivots", "_tails", "_pivot_of", "_priority")
+    __slots__ = ("length", "pivots", "_tails", "_dens", "_pivot_of", "_priority")
 
     def __init__(self, length, priority=None):
         self.length = length
         self.pivots = []
         self._tails = []
+        self._dens = []
         self._pivot_of = {}
         self._priority = range(length) if priority is None else priority
 
@@ -380,55 +393,99 @@ class EchelonBasis:
 
     @property
     def rows(self):
-        return [self._dense(pivot, tail) for pivot, tail in zip(self.pivots, self._tails)]
+        return [self._dense(i) for i in range(len(self._tails))]
 
-    def _dense(self, pivot, tail):
+    def _dense(self, i):
         row = [ZERO] * self.length
-        row[pivot] = ONE
-        for j, b in tail.items():
-            row[j] = b
+        row[self.pivots[i]] = ONE
+        den = self._dens[i]
+        for j, b in self._tails[i].items():
+            row[j] = rat(b, den)
         return row
+
+    def _remainder(self, vector):
+        """Integers r and a positive int s: vector minus its projection on the rows is r / s.
+
+        Rows are zero at every other row's pivot, so the multiple of row i to
+        subtract is the vector's own entry at pivot i; one common scale, the
+        lcm of the reduced row denominators that occur, keeps every step on
+        ints.
+        """
+        s = lcm(*map(_denominator, vector))
+        if s == 1:
+            v = list(map(int, vector))
+        else:
+            v = [int(x.numerator) * (s // int(x.denominator)) for x in vector]
+        hits = [
+            (p, tail, den, v[p])
+            for p, tail, den in zip(self.pivots, self._tails, self._dens)
+            if v[p]
+        ]
+        scale = lcm(*(den // gcd(den, f) for _, _, den, f in hits))
+        if scale != 1:
+            v = [x * scale for x in v]
+        for p, tail, den, f in hits:
+            c = f * scale // den
+            v[p] = 0
+            for j, b in tail.items():
+                v[j] -= c * b
+        return v, s * scale
 
     def reduce(self, vector):
         """Remainder of vector against the current rows (new list)."""
-        v = list(vector)
-        for pivot, tail in zip(self.pivots, self._tails):
-            f = v[pivot]
-            if f:
-                v[pivot] = ZERO
-                for j, b in tail.items():
-                    v[j] -= f * b
-        return v
+        v, s = self._remainder(vector)
+        return [rat(x, s) for x in v]
 
     def insert(self, vector):
         """Insert a vector; returns True when it was independent."""
-        v = self.reduce(vector)
-        pivot = next((j for j in self._priority if v[j]), None)
-        if pivot is None:
+        v, _ = self._remainder(vector)
+        if not any(v):
             return False
-        inv = ONE / v[pivot]
-        new = {j: x * inv for j, x in enumerate(v) if x and j != pivot}
-        for tail in self._tails:
-            f = tail.pop(pivot, None)
-            if f is not None:
-                for j, b in new.items():
-                    x = tail.get(j, ZERO) - f * b
-                    if x:
-                        tail[j] = x
-                    else:
-                        tail.pop(j, None)
+        pivot = next(j for j in self._priority if v[j])
+        lead = v[pivot]
+        new = {j: x for j, x in enumerate(v) if x}
+        content = gcd(*new.values())
+        if lead < 0:
+            content = -content
+        den = lead // content
+        del new[pivot]
+        if content != 1:
+            new = {j: x // content for j, x in new.items()}
+        # row k becomes row k - (a / den_k) * new row, in lowest terms
+        for k, tail in enumerate(self._tails):
+            a = tail.pop(pivot, None)
+            if a is None:
+                continue
+            if den != 1:
+                for j in tail:
+                    tail[j] *= den
+            for j, b in new.items():
+                x = tail.get(j, 0) - a * b
+                if x:
+                    tail[j] = x
+                else:
+                    tail.pop(j, None)
+            dk = self._dens[k] * den
+            if dk != 1:
+                g = gcd(dk, *tail.values())
+                if g != 1:
+                    dk //= g
+                    for j in tail:
+                        tail[j] //= g
+            self._dens[k] = dk
         self._pivot_of[pivot] = len(self._tails)
         self.pivots.append(pivot)
         self._tails.append(new)
+        self._dens.append(den)
         return True
 
     def contains(self, vector):
-        return all(not x for x in self.reduce(vector))
+        return not any(self._remainder(vector)[0])
 
     def rref_rows(self):
         """Pivot columns in ascending order and the rref rows they belong to."""
         pivots = sorted(self._pivot_of)
-        return pivots, [self._dense(p, self._tails[self._pivot_of[p]]) for p in pivots]
+        return pivots, [self._dense(self._pivot_of[p]) for p in pivots]
 
     def kernel(self):
         """Basis of {c : c . v = 0 for every v in the span}, as lists.
@@ -438,9 +495,9 @@ class EchelonBasis:
         QMatrix.kernel_basis of the inserted rows.
         """
         basis = {c: [ZERO] * self.length for c in range(self.length) if c not in self._pivot_of}
-        for pc, tail in zip(self.pivots, self._tails):
+        for pc, tail, den in zip(self.pivots, self._tails, self._dens):
             for fc, b in tail.items():
-                basis[fc][pc] = -b
+                basis[fc][pc] = rat(-b, den)
         for fc, v in basis.items():
             v[fc] = ONE
         return list(basis.values())

@@ -227,6 +227,61 @@ class TestDecomposeCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["closure", "--generators", '{"n":1,"generators":5}', "--degree", "1"],
+            '"generators" must be a list of matrices',
+        ),
+        (
+            ["closure", "--generators", '{"n":1,"generators":[5]}', "--degree", "1"],
+            "generators[0] must be a list of equal-length lists",
+        ),
+        (
+            ["closure", "--generators", '{"n":1,"generators":[[5]]}', "--degree", "1"],
+            "generators[0] must be a list of equal-length lists",
+        ),
+        (
+            ["closure", "--generators", '{"n":2,"generators":[[["1","0"],["0"]]]}', "--degree", "1"],
+            "generators[0] must be a list of equal-length lists",
+        ),
+        (
+            ["schreier", "--generators", '{"n":1,"generators":5}', "--index-bound", "1"],
+            '"generators" must be a list of matrices',
+        ),
+        (
+            ["closure", "--generators", '{"n":"2","generators":[[["1","1"],["0","1"]]]}', "--degree", "1"],
+            '"n" must be an integer',
+        ),
+        (
+            ["unipotent-closure", "--matrices", '{"x":1}'],
+            'matrices must be a list of matrices or a JSON object with a list "matrices"',
+        ),
+        (
+            ["unipotent-closure", "--matrices", '[{"x":1}]'],
+            "matrices[0] must be a list of equal-length lists",
+        ),
+        (["decompose", "--matrix", '{"a":1}'], "matrix must be a list of equal-length lists"),
+    ],
+    ids=[
+        "generators-int",
+        "generator-int",
+        "generator-row-int",
+        "generator-ragged",
+        "schreier-generators-int",
+        "n-string",
+        "matrices-object",
+        "matrices-entry-object",
+        "decompose-object",
+    ],
+)
+def test_matrix_shape_error_names_field(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_bare_generator_list_is_input_error(capsys):
     code, out, err = run(capsys, "closure", "--generators", '[[["1"]]]', "--degree", "2")
     assert code == 2

@@ -387,6 +387,13 @@ class TestLiftedSpan:
                 g = generators.with_inverses[gi] * g
             assert vector == monomial_lift(gl_embed(g), d)
 
+    def test_rows_are_integers(self):
+        # the echelon stores int numerators over int denominators, never rationals
+        span = lifted_span(GeneratorSet([qm([[1, 1], [0, 1]]), qm([[1, 0], [1, 1]])]), 3)
+        assert span.echelon._tails
+        assert all(type(b) is int for tail in span.echelon._tails for b in tail.values())
+        assert all(type(den) is int for den in span.echelon._dens)
+
 
 class TestCyclicSemisimple:
     def test_identity(self):

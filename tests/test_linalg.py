@@ -1,11 +1,12 @@
 import random
+from collections import deque
+from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from zclosure import closure
-from zclosure.closure import GeneratorSet, lifted_span
+from zclosure.closure import GeneratorSet, GLPoint, lifted_span, monomial_basis, monomial_lift
 from zclosure.errors import SingularMatrix
 from zclosure.linalg import (
     QMatrix,
@@ -16,6 +17,7 @@ from zclosure.linalg import (
     integer_kernel,
     row_hnf,
 )
+from zclosure.poly import GREVLEX
 from zclosure._rat import ONE, ZERO, rat
 
 
@@ -242,9 +244,16 @@ small_rationals = st.one_of(
     st.just(rat(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3).map(rat)
 )
 
+# numerators up to 10^12 over denominators up to 10^6, so reduced rows carry
+# large, mostly coprime denominators
+wide_rationals = st.one_of(
+    st.just(rat(0)),
+    st.builds(rat, st.integers(-(10**12), 10**12), st.integers(1, 10**6)),
+)
+
 
 @st.composite
-def matrices(draw, square=False):
+def matrices(draw, square=False, entries=small_rationals):
     """Rational matrices up to 4x5: sparse, and often rank-deficient.
 
     Each row after the first may be replaced by a combination of the rows
@@ -252,10 +261,10 @@ def matrices(draw, square=False):
     """
     rows = draw(st.integers(1, 4))
     cols = rows if square else draw(st.integers(1, 5))
-    m = [[draw(small_rationals) for _ in range(cols)] for _ in range(rows)]
+    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
     for i in range(1, rows):
         if draw(st.booleans()):
-            coeffs = [draw(small_rationals) for _ in range(i)]
+            coeffs = [draw(entries) for _ in range(i)]
             m[i] = [sum((c * m[j][k] for j, c in enumerate(coeffs)), rat(0)) for k in range(cols)]
     return QMatrix(rows, cols, [e for row in m for e in row])
 
@@ -376,30 +385,99 @@ class DenseEchelon:
 
 
 def assert_tails_sparse(echelon):
-    """No stored tail holds a zero, its own pivot or another row's pivot."""
+    """Tails hold nonzero ints off every pivot, over a positive denominator in lowest terms."""
     pivots = set(echelon.pivots)
-    for pivot, tail in zip(echelon.pivots, echelon._tails):
-        assert all(tail.values())
+    assert len(echelon._dens) == len(echelon._tails)
+    for pivot, tail, den in zip(echelon.pivots, echelon._tails, echelon._dens):
+        assert all(type(b) is int and b for b in tail.values()), (pivot, tail)
         assert not pivots & tail.keys(), (pivot, tail)
+        assert type(den) is int and den > 0, (pivot, den)
+        assert gcd(den, *tail.values()) == 1, (pivot, den, tail)
+
+
+def check_same_echelon(m, priority):
+    sparse = EchelonBasis(m.cols, priority)
+    dense = DenseEchelon(m.cols, priority)
+    for i in range(m.rows):
+        assert sparse.insert(m.row(i)) == dense.insert(m.row(i))
+        assert sparse.pivots == dense.pivots
+        assert sparse.rows == dense.rows
+        assert_tails_sparse(sparse)
+    assert len(sparse) == len(dense)
+    assert sparse.rref_rows() == dense.rref_rows()
+    assert sparse.kernel() == dense.kernel()
+    for i in range(m.rows):
+        assert sparse.reduce(m.row(i)) == dense.reduce(m.row(i))
+
+
+def fraction_lifted_span(generators, d):
+    """Frozen Fraction reference for lifted_span, on DenseEchelon.
+
+    Group elements are QMatrix products and every lift is a rational vector;
+    returns (vectors, words, pivots, kernel).
+    """
+    n = generators.n
+    m = n * n + 1
+    basis = monomial_basis(m, d)
+    priority = sorted(range(len(basis)), key=lambda i: GREVLEX.key(basis[i]))
+    gens = [(g, ONE / g.det()) for g in generators.with_inverses]
+    echelon = DenseEchelon(len(basis), priority)
+    identity = QMatrix.identity(n)
+    v0 = monomial_lift(GLPoint(n, identity.entries + (ONE,)), d)
+    echelon.insert(v0)
+    vectors = [v0]
+    elements = [(identity, ONE)]
+    words = [()]
+    queue = deque((0, gi) for gi in range(len(gens)))
+    while queue:
+        vi, gi = queue.popleft()
+        g, y = gens[gi]
+        w, yw = elements[vi]
+        h, yh = g * w, y * yw
+        image = monomial_lift(GLPoint(n, h.entries + (yh,)), d)
+        if echelon.insert(image):
+            vectors.append(image)
+            elements.append((h, yh))
+            words.append(words[vi] + (gi,))
+            queue.extend((len(vectors) - 1, gj) for gj in range(len(gens)))
+    return vectors, words, echelon.pivots, echelon.kernel()
+
+
+def assert_same_span(generators, d):
+    """lifted_span gives the reference's vectors, words, pivots and kernel."""
+    span = lifted_span(generators, d)
+    assert_tails_sparse(span.echelon)
+    vectors, words, pivots, kernel = fraction_lifted_span(generators, d)
+    assert span.vectors == vectors
+    assert span.words == words
+    assert span.echelon.pivots == pivots
+    assert span.kernel_vectors() == kernel
+
+
+@st.composite
+def rational_gl2(draw):
+    entries = [draw(small_rationals) for _ in range(4)]
+    assume(entries[0] * entries[3] != entries[1] * entries[2])
+    return QMatrix(2, 2, entries)
+
+
+@st.composite
+def signed_permutations3(draw):
+    perm = draw(st.permutations(range(3)))
+    signs = [draw(st.sampled_from([-1, 1])) for _ in range(3)]
+    return QMatrix(3, 3, [signs[i] if j == perm[i] else 0 for i in range(3) for j in range(3)])
 
 
 class TestSparseEchelonAgainstDense:
     @settings(max_examples=80, deadline=None)
     @given(matrices(), st.data())
     def test_same_echelon(self, m, data):
-        priority = data.draw(st.one_of(st.none(), st.permutations(range(m.cols))))
-        sparse = EchelonBasis(m.cols, priority)
-        dense = DenseEchelon(m.cols, priority)
-        for i in range(m.rows):
-            assert sparse.insert(m.row(i)) == dense.insert(m.row(i))
-            assert sparse.pivots == dense.pivots
-            assert sparse.rows == dense.rows
-            assert_tails_sparse(sparse)
-        assert len(sparse) == len(dense)
-        assert sparse.rref_rows() == dense.rref_rows()
-        assert sparse.kernel() == dense.kernel()
-        for i in range(m.rows):
-            assert sparse.reduce(m.row(i)) == dense.reduce(m.row(i))
+        check_same_echelon(m, data.draw(st.one_of(st.none(), st.permutations(range(m.cols)))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(entries=wide_rationals), st.data())
+    def test_same_echelon_wide_denominators(self, m, data):
+        check_same_echelon(m, data.draw(st.one_of(st.none(), st.permutations(range(m.cols)))))
 
     def test_cancelled_entries_are_dropped(self):
         # back-substituting (0, 1, 1) into (1, 1, 1) cancels column 2
@@ -407,7 +485,8 @@ class TestSparseEchelonAgainstDense:
         echelon.insert([rat(1), rat(1), rat(1)])
         echelon.insert([rat(0), rat(1), rat(1)])
         assert_tails_sparse(echelon)
-        assert echelon._tails == [{}, {2: rat(1)}]
+        assert echelon._tails == [{}, {2: 1}]
+        assert echelon._dens == [1, 1]
 
     @pytest.mark.parametrize(
         "gens, d",
@@ -422,16 +501,22 @@ class TestSparseEchelonAgainstDense:
                 2,
             ),
             ([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], 4),
+            # SL2 conjugated by [[1, 1/2], [0, 1]]
+            ([[[1, 1], [0, 1]], [["3/2", "-1/4"], [1, "1/2"]]], 3),
+            ([[[2, 0], [0, "1/2"]]], 4),
         ],
-        ids=["sl2-d3", "sl3-d2", "sl2-d4"],
+        ids=["sl2-d3", "sl3-d2", "sl2-d4", "sl2-rational", "torus"],
     )
-    def test_same_span(self, monkeypatch, gens, d):
-        generators = GeneratorSet([qm(g) for g in gens])
-        span = lifted_span(generators, d)
-        assert_tails_sparse(span.echelon)
-        monkeypatch.setattr(closure, "EchelonBasis", DenseEchelon)
-        reference = lifted_span(generators, d)
-        assert span.vectors == reference.vectors
-        assert span.words == reference.words
-        assert span.echelon.pivots == reference.echelon.pivots
-        assert span.kernel_vectors() == reference.kernel_vectors()
+    def test_same_span(self, gens, d):
+        assert_same_span(GeneratorSet([qm(g) for g in gens]), d)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(rational_gl2(), min_size=1, max_size=2),
+            st.lists(signed_permutations3(), min_size=1, max_size=2),
+        ),
+        st.integers(1, 3),
+    )
+    def test_lifted_span_matches_fraction_reference(self, gens, d):
+        assert_same_span(GeneratorSet(gens), d)
