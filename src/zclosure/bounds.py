@@ -141,13 +141,15 @@ def _tower_log(t: TowerNumber, base: int) -> TowerNumber:
 def masser_lattice_bound(n: int, h, c=1, log_base: int = 2) -> TowerNumber:
     """(c n^7 n! log h)^n, rounded up when it evaluates exactly.
 
-    h may be an integer (>= 2) or a TowerNumber; the log base defaults to 2
-    and logs are evaluated as rational upper bounds when irrational.
+    h may be an integer (>= 2) or a TowerNumber; the log base (>= 2) defaults
+    to 2 and logs are evaluated as rational upper bounds when irrational.
     """
     _check_n(n)
     c = Fraction(int(rat(c).numerator), int(rat(c).denominator))
     if c <= 0:
         raise ValueError("the absolute constant c must be positive")
+    if log_base < 2:
+        raise ValueError("need log_base >= 2")
     prefix = c * n**7 * math.factorial(n)
     if isinstance(h, TowerNumber) and not h.is_exact:
         log_h = _tower_log(h, log_base)

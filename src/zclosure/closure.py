@@ -31,6 +31,7 @@ from .poly import (
     eliminate,
     ideal_equal,
     ideal_member,
+    normal_form,
     substitute_linear,
 )
 from .relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
@@ -228,20 +229,19 @@ def lift_operator(g: QMatrix, d: int) -> QMatrix:
 
 
 class LiftedBasis:
-    """Saturated span of lifted group elements, with witness words."""
+    """Saturated span of lifted group elements: its echelon, and the witness word of each row."""
 
-    __slots__ = ("d", "m", "vectors", "words", "echelon")
+    __slots__ = ("d", "m", "words", "echelon")
 
-    def __init__(self, d, m, vectors, words, echelon):
+    def __init__(self, d, m, words, echelon):
         self.d = d
         self.m = m
-        self.vectors = vectors
         self.words = words
         self.echelon = echelon
 
     @property
     def dimension(self):
-        return len(self.vectors)
+        return len(self.words)
 
     def kernel_vectors(self):
         return self.echelon.kernel()
@@ -290,7 +290,8 @@ def _int_product(g, w, n):
     c = gcd(den, *h)
     a, b = ga * wa, gb * wb
     e = gcd(a, b)
-    return tuple(x // c for x in h), den // c, a // e, b // e
+    # from a list, not an iterator (see EchelonBasis._remainder)
+    return tuple([x // c for x in h]), den // c, a // e, b // e
 
 
 def _scaled_lift(element, d):
@@ -308,12 +309,6 @@ def _scaled_lift(element, d):
     return [x * dpow[i] * bpow[j] for x, (i, j) in zip(out, _lift_codegrees(len(h) + 1, d))]
 
 
-def _rational_lift(element, d):
-    """The monomial lift of an (H, D, a, b) element, as RAT values."""
-    h, den, a, b = element
-    return _lift(tuple(rat(x, den) for x in h) + (rat(a, b),), d, ONE)
-
-
 def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     """Span of the monomial lifts of the generated group, saturated from the identity.
 
@@ -321,10 +316,10 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     as (H, D, a, b) with W = H / D and 1/det W = a / b; its image under
     generator g is the lift of g·W.  The echelon receives an integer vector
     proportional to each lift, which decides independence and pivots
-    exactly as the lift would; the rational lift is built only for the
-    witnesses it accepts.  Breadth-first over (basis vector, generator)
-    pairs in insertion order, so the witness words and the resulting basis
-    are reproducible; words[i] lists the generators applied, first to last.
+    exactly as the lift would; no rational lift is built.  Breadth-first
+    over (basis vector, generator) pairs in insertion order, so the witness
+    words and the resulting basis are reproducible; words[i] lists the
+    generators applied, first to last.
     Pivots are chosen in ascending grevlex order, so the free column of each
     kernel vector is its grevlex leading monomial.  Raises ResourceLimit
     before building anything when C(m + d, d), which also bounds the span's
@@ -341,7 +336,6 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     echelon = EchelonBasis(size, _grevlex_priority(m, d))
     identity = _int_element(QMatrix.identity(n))
     echelon.insert(_scaled_lift(identity, d))
-    vectors = [_rational_lift(identity, d)]
     elements = [identity]
     words = [()]
     queue = deque((0, gi) for gi in range(len(gens)))
@@ -349,12 +343,10 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
         vi, gi = queue.popleft()
         h = _int_product(gens[gi], elements[vi], n)
         if echelon.insert(_scaled_lift(h, d)):
-            vectors.append(_rational_lift(h, d))
             elements.append(h)
             words.append(words[vi] + (gi,))
-            new_index = len(vectors) - 1
-            queue.extend((new_index, gj) for gj in range(len(gens)))
-    return LiftedBasis(d, m, vectors, words, echelon)
+            queue.extend((len(elements) - 1, gj) for gj in range(len(gens)))
+    return LiftedBasis(d, m, words, echelon)
 
 
 def _vector_to_poly(vector, m, d):
@@ -406,8 +398,9 @@ def invariants_up_to_degree(
 def restricted_kernel(span: LiftedBasis, var_indices, max_degree=None):
     """Vanishing polynomials supported on monomials in the given variables.
 
-    Intersects the kernel with the coordinate subspace of monomials using
-    only var_indices (and total degree <= max_degree when given).
+    The kernel of the echelon rows projected onto those monomials.  Columns
+    ascend in degree and each kernel vector has the degree of its free
+    monomial, so max_degree, when given, just drops the vectors above it.
     """
     basis = monomial_basis(span.m, span.d)
     allowed = set(var_indices)
@@ -415,24 +408,22 @@ def restricted_kernel(span: LiftedBasis, var_indices, max_degree=None):
         i
         for i, mono in enumerate(basis)
         if all(e == 0 or v in allowed for v, e in enumerate(mono))
-        and (max_degree is None or sum(mono) <= max_degree)
     ]
-    projected = QMatrix.from_rows([[vec[c] for c in cols] for vec in span.vectors])
+    projected = EchelonBasis(len(cols))
+    for row in span.echelon.rows:
+        projected.insert([row[c] for c in cols])
     out = []
-    for col in projected.kernel_basis():
-        vec = [ZERO] * len(basis)
-        for r, c in enumerate(cols):
-            vec[c] = col[r, 0]
-        out.append(_vector_to_poly(vec, span.m, span.d))
+    for vec in projected.kernel():
+        poly = Poly(span.m, {basis[c]: x for c, x in zip(cols, vec) if x})
+        if max_degree is None or poly.total_degree() <= max_degree:
+            out.append(poly)
     return out
 
 
 def minimal_restricted_degree(span: LiftedBasis, var_indices):
     """Smallest degree of a nonzero vanishing polynomial in the given variables."""
-    for deg in range(1, span.d + 1):
-        if restricted_kernel(span, var_indices, deg):
-            return deg
-    return None
+    kernel = restricted_kernel(span, var_indices)
+    return kernel[0].total_degree() if kernel else None
 
 
 def identity_point_ideal(n: int) -> Ideal:
@@ -571,12 +562,11 @@ def is_group_variety(ideal: Ideal, n: int) -> bool:
         if f.evaluate(identity) != 0:
             return False
 
-    # product: two generic copies u (vars 0..m-1) and v (vars m..2m-1)
-    double = Ideal(
-        2 * m,
-        [_shift_poly(f, m, 2 * m, 0) for f in reduced]
-        + [_shift_poly(f, m, 2 * m, m) for f in reduced],
-    )
+    # product: two generic copies u (vars 0..m-1) and v (vars m..2m-1); the
+    # copies share no variable, so their union is a Gröbner basis
+    double = [_shift_poly(f, m, 2 * m, 0) for f in reduced] + [
+        _shift_poly(f, m, 2 * m, m) for f in reduced
+    ]
     prod_map = {}
     for i in range(n):
         for j in range(n):
@@ -592,7 +582,7 @@ def is_group_variety(ideal: Ideal, n: int) -> bool:
     ymono[2 * m - 1] = 1
     prod_map[m - 1] = Poly(2 * m, {tuple(ymono): ONE})
     for f in reduced:
-        if not ideal_member(f.subs(prod_map), double):
+        if normal_form(f.subs(prod_map), double):
             return False
 
     # inverse: adjugate times y gives the entries, det gives the new y
@@ -692,8 +682,9 @@ def schreier_generators(generators: GeneratorSet, member, index_bound: int, leng
 
     Enumerates all products of generators and inverses of length at most
     2*index_bound + 1, or length_cap when given (deduplicated), keeping those
-    the membership predicate accepts.  Raises ResourceLimit past
-    MAX_SCHREIER_PRODUCTS distinct products.
+    the membership predicate accepts; stops at the first length that adds
+    no new product, so a finite group ends the enumeration once it closes.
+    Raises ResourceLimit past MAX_SCHREIER_PRODUCTS distinct products.
     """
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
@@ -715,5 +706,7 @@ def schreier_generators(generators: GeneratorSet, member, index_bound: int, leng
                         )
                     ordered.append(prod)
                     nxt.append(prod)
+        if not nxt:
+            break
         frontier = nxt
     return [g for g in ordered if member(g)]

@@ -9,7 +9,6 @@ hands out RAT values.  row_hnf serves integer kernels.
 """
 
 from math import gcd, lcm
-from operator import attrgetter
 
 from .errors import SingularMatrix
 from ._rat import ZERO, ONE, rat, height
@@ -350,9 +349,6 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(basis) if basis else IntMatrix(0, c, [])
 
 
-_denominator = attrgetter("denominator")
-
-
 class EchelonBasis:
     """Incremental echelon form over the rationals, with sparse integer rows.
 
@@ -411,7 +407,10 @@ class EchelonBasis:
         lcm of the reduced row denominators that occur, keeps every step on
         ints.
         """
-        s = lcm(*map(_denominator, vector))
+        # star-arguments come from lists: CPython builds a tuple from an
+        # iterator at a guessed size and shrinks it, and shrunk tuples stay
+        # on its free lists until a full collection, which raises peak memory
+        s = lcm(*[x.denominator for x in vector])
         if s == 1:
             v = list(map(int, vector))
         else:
@@ -421,7 +420,7 @@ class EchelonBasis:
             for p, tail, den in zip(self.pivots, self._tails, self._dens)
             if v[p]
         ]
-        scale = lcm(*(den // gcd(den, f) for _, _, den, f in hits))
+        scale = lcm(*[den // gcd(den, f) for _, _, den, f in hits])
         if scale != 1:
             v = [x * scale for x in v]
         for p, tail, den, f in hits:

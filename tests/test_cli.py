@@ -385,6 +385,15 @@ class TestBoundsCommand:
         assert time.perf_counter() - start < 2
 
 
+    @pytest.mark.parametrize("base", ["1", "0", "-2"])
+    def test_log_base_below_two(self, capsys, base):
+        code, out, err = run(
+            capsys, "bounds", "--n", "1", "--height", "2", "--gens", "1", "--log-base", base
+        )
+        assert code == 2
+        assert "log_base" in err
+
+
 class TestChainBoundsCommand:
     def test_n1(self, capsys):
         payload = run_json(capsys, "chain-bounds", "--n", "1")
@@ -409,6 +418,21 @@ class TestSchreierCommand:
     def test_usage_error(self, capsys):
         code, out, err = run(capsys, "schreier", "--generators", json.dumps(S3))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "limits",
+        [["--index-bound", "100000000"], ["--index-bound", "100000000", "--length-cap", "100000000000"]],
+        ids=["index-bound", "length-cap"],
+    )
+    def test_enumeration_stops_when_no_product_is_new(self, capsys, limits):
+        # S3 closes at word length 3, so a larger bound or cap changes nothing
+        gens = json.dumps(S3)
+        _, want, _ = run(capsys, "schreier", "--generators", gens, "--index-bound", "2")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "schreier", "--generators", gens, *limits)
+        assert code == 0, err
+        assert time.perf_counter() - start < 2
+        assert out == want
 
 
 class TestTextJsonAgreement:

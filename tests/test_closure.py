@@ -371,6 +371,17 @@ class TestKernelEchelon:
         assert len(res.ideal.generators) == count
 
 
+def witness_lifts(span, generators):
+    """The monomial lift of each witness word's group element, in span order."""
+    lifts = []
+    for word in span.words:
+        g = QMatrix.identity(generators.n)
+        for gi in word:
+            g = generators.with_inverses[gi] * g
+        lifts.append(monomial_lift(gl_embed(g), span.d))
+    return lifts
+
+
 class TestLiftedSpan:
     @pytest.mark.parametrize(
         "gens,d",
@@ -378,14 +389,15 @@ class TestLiftedSpan:
         ids=["sl2-d3", "sym3-d2", "heisenberg-d2"],
     )
     def test_vectors_are_lifts_of_witness_words(self, gens, d):
-        # words[i] lists the generators applied first to last, each on the left
+        # words[i] lists the generators applied first to last, each on the left;
+        # their lifts, inserted in order, rebuild the span's echelon row by row
         generators = GeneratorSet(gens)
         span = lifted_span(generators, d)
-        for vector, word in zip(span.vectors, span.words):
-            g = QMatrix.identity(generators.n)
-            for gi in word:
-                g = generators.with_inverses[gi] * g
-            assert vector == monomial_lift(gl_embed(g), d)
+        echelon = EchelonBasis(len(monomial_basis(span.m, d)), closure._grevlex_priority(span.m, d))
+        for lift in witness_lifts(span, generators):
+            assert echelon.insert(lift)
+        assert echelon.pivots == span.echelon.pivots
+        assert echelon.rows == span.echelon.rows
 
     def test_rows_are_integers(self):
         # the echelon stores int numerators over int denominators, never rationals
@@ -393,6 +405,148 @@ class TestLiftedSpan:
         assert span.echelon._tails
         assert all(type(b) is int for tail in span.echelon._tails for b in tail.values())
         assert all(type(den) is int for den in span.echelon._dens)
+
+
+def reference_restricted_kernel(span, lifts, var_indices, max_degree=None):
+    """Frozen copy of the former restricted_kernel: the kernel of the witness
+    lifts projected onto the allowed monomials of degree <= max_degree."""
+    basis = monomial_basis(span.m, span.d)
+    allowed = set(var_indices)
+    cols = [
+        i
+        for i, mono in enumerate(basis)
+        if all(e == 0 or v in allowed for v, e in enumerate(mono))
+        and (max_degree is None or sum(mono) <= max_degree)
+    ]
+    projected = QMatrix.from_rows([[vec[c] for c in cols] for vec in lifts])
+    return [
+        Poly(span.m, {basis[c]: col[r, 0] for r, c in enumerate(cols) if col[r, 0]})
+        for col in projected.kernel_basis()
+    ]
+
+
+def reference_minimal_restricted_degree(span, lifts, var_indices):
+    """Frozen copy of the former minimal_restricted_degree: one kernel per degree."""
+    for deg in range(1, span.d + 1):
+        if reference_restricted_kernel(span, lifts, var_indices, deg):
+            return deg
+    return None
+
+
+def reference_is_group_variety(ideal, n):
+    """Frozen copy of the former is_group_variety: each product image is
+    tested with ideal_member against the doubled ideal, whose Gröbner basis
+    Buchberger computes again."""
+    m = n * n + 1
+    reduced = ideal.groebner(GREVLEX)
+    if not reduced:
+        return True
+    identity = gl_embed(QMatrix.identity(n)).coords
+    if any(f.evaluate(identity) != 0 for f in reduced):
+        return False
+    double = Ideal(
+        2 * m,
+        [closure._shift_poly(f, m, 2 * m, 0) for f in reduced]
+        + [closure._shift_poly(f, m, 2 * m, m) for f in reduced],
+    )
+    prod_map = {}
+    for i in range(n):
+        for j in range(n):
+            terms = {}
+            for k in range(n):
+                mono = [0] * (2 * m)
+                mono[i * n + k] += 1
+                mono[m + k * n + j] += 1
+                terms[tuple(mono)] = rat(1)
+            prod_map[i * n + j] = Poly(2 * m, terms)
+    ymono = [0] * (2 * m)
+    ymono[m - 1] = 1
+    ymono[2 * m - 1] = 1
+    prod_map[m - 1] = Poly(2 * m, {tuple(ymono): rat(1)})
+    if not all(ideal_member(f.subs(prod_map), double) for f in reduced):
+        return False
+    generic = closure._generic_matrix_polys(n, m)
+    yvar = Poly.variable(m - 1, m)
+    inv_map = {
+        i * n + j: closure._adjugate_entry(generic, n, m, i, j) * yvar
+        for i in range(n)
+        for j in range(n)
+    }
+    inv_map[m - 1] = closure._poly_det(generic, n, m)
+    return all(ideal_member(f.subs(inv_map), ideal) for f in reduced)
+
+
+SL2_GENS = [qm([[1, 1], [0, 1]]), qm([[1, 0], [1, 1]])]
+
+REFERENCE_FAMILIES = (
+    [(f"sl2-d{d}", SL2_GENS, d) for d in (1, 2, 3)]
+    + [
+        (f"diag{p}-d{d}", [QMatrix.diagonal([rat(2) ** p, rat(1, 2)])], d)
+        for p in (1, 2, 3)
+        for d in range(1, p + 2)
+    ]
+    + [
+        (f"{name}-d{d}", gens, d)
+        for name, gens in [
+            ("rotation4", [qm([[0, -1], [1, 0]])]),
+            ("heisenberg", HEISENBERG),
+            ("sym3", SYM3),
+        ]
+        for d in (1, 2)
+    ]
+)
+
+
+def variable_subsets(name, m, count=8):
+    """Every variable, the diagonal (2x2), and count seeded random subsets."""
+    rng = random.Random(name)
+    subsets = [list(range(m))] + ([[0, 3]] if m == 5 else [])
+    for _ in range(count):
+        subsets.append(sorted(rng.sample(range(m), rng.randint(1, m))))
+    return subsets
+
+
+class TestAgainstFormerAlgorithms:
+    """The kernel read off the span's echelon, and the product certificate
+    reduced against the two shifted bases, answer as the former algorithms."""
+
+    @pytest.mark.parametrize(
+        "name,gens,d", REFERENCE_FAMILIES, ids=[f[0] for f in REFERENCE_FAMILIES]
+    )
+    def test_restricted_kernel(self, name, gens, d):
+        generators = GeneratorSet(gens)
+        span = lifted_span(generators, d)
+        lifts = witness_lifts(span, generators)
+        for subset in variable_subsets(name, span.m):
+            for max_degree in [None, *range(d + 1)]:
+                want = reference_restricted_kernel(span, lifts, subset, max_degree)
+                assert restricted_kernel(span, subset, max_degree) == want, (subset, max_degree)
+            want = reference_minimal_restricted_degree(span, lifts, subset)
+            assert minimal_restricted_degree(span, subset) == want, subset
+
+    def test_is_group_variety(self):
+        # each closure ideal, and it with one generator dropped or bent off
+        # the group (at most two seeded generators per ideal: the 20 of
+        # sym3-d2 would each need their own Buchberger run)
+        outcomes = []
+        for name, gens, d in REFERENCE_FAMILIES:
+            n = gens[0].rows
+            m = n * n + 1
+            ideal = invariants_up_to_degree(GeneratorSet(gens), d).ideal
+            fs = list(ideal.generators)
+            y = Poly.variable(m - 1, m)
+            variants = [ideal]
+            picked = random.Random(name).sample(range(len(fs)), min(2, len(fs)))
+            for i in sorted(picked):
+                f = fs[i]
+                variants.append(Ideal(m, fs[:i] + fs[i + 1 :]))
+                bent = f + (y - 1) * Poly.variable(i % (m - 1), m)
+                variants.append(Ideal(m, fs[:i] + [bent] + fs[i + 1 :]))
+            for variant in variants:
+                want = reference_is_group_variety(variant, n)
+                assert is_group_variety(variant, n) == want, (name, variant.generators)
+                outcomes.append(want)
+        assert True in outcomes and False in outcomes
 
 
 class TestCyclicSemisimple:

@@ -1,4 +1,5 @@
-"""Every import in the engine's modules is used or re-exported."""
+"""Every import in the engine's modules is used or re-exported, and every
+module-level private name is read somewhere in the engine."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,62 @@ def test_scan_finds_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def orphaned_private_names(sources):
+    """Module-level private names that no code in the sources reads.
+
+    sources maps module names to their text.  A private name (one leading
+    underscore) is read when its module loads it outside its own definition,
+    another module imports it from that module, or any module reads an
+    attribute of that name.
+    """
+    defined = []
+    read = set()
+    attributes = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            defined.extend(
+                (module, n) for n in names if n.startswith("_") and not n.startswith("__")
+            )
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id not in names:
+                        read.add((module, node.id))
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    read.update((node.module, a.name) for a in node.names)
+    return sorted(
+        f"{module}.{name}"
+        for module, name in defined
+        if (module, name) not in read and name not in attributes
+    )
+
+
+def test_scan_finds_orphaned_private_name():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "def _used():\n    return _LIMIT\n"
+            "def _orphan(k):\n    return _orphan(k - 1)\n"
+            "class _Gone:\n    pass\n"
+            "def _imported():\n    pass\n"
+            "def f():\n    return _used()\n"
+        ),
+        "b": "from .a import _imported\n_imported()\n",
+    }
+    assert orphaned_private_names(sources) == ["a._Gone", "a._orphan"]
+
+
+def test_no_orphaned_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert orphaned_private_names(sources) == []

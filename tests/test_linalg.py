@@ -444,11 +444,10 @@ def fraction_lifted_span(generators, d):
 
 
 def assert_same_span(generators, d):
-    """lifted_span gives the reference's vectors, words, pivots and kernel."""
+    """lifted_span gives the reference's words, pivots and kernel."""
     span = lifted_span(generators, d)
     assert_tails_sparse(span.echelon)
-    vectors, words, pivots, kernel = fraction_lifted_span(generators, d)
-    assert span.vectors == vectors
+    _, words, pivots, kernel = fraction_lifted_span(generators, d)
     assert span.words == words
     assert span.echelon.pivots == pivots
     assert span.kernel_vectors() == kernel
