@@ -14,6 +14,7 @@ from .closure import GeneratorSet, invariants_up_to_degree
 from .errors import NonInvertibleUpdate
 from .linalg import QMatrix
 from .poly import Ideal, Poly, eliminate
+from .structure import PolyMatrix
 from ._rat import ONE, ZERO, rat
 
 __all__ = ["AffineProgram", "affine_to_generators", "strongest_invariant"]
@@ -77,24 +78,14 @@ def strongest_invariant(program: AffineProgram, d: int) -> Ideal:
     closure = invariants_up_to_degree(generators, d)
     k = (n + 1) * (n + 1) + 1  # matrix coordinates to eliminate
     total = k + 2 * n  # plus current state and initial state
-    gens = []
-    for f in closure.ideal.generators:
-        gens.append(Poly(total, {mono + (0,) * (2 * n): c for mono, c in f.terms.items()}))
-    # current state = upper part of M (initial, 1)
+    gens = [f.map_variables(total, range(k)) for f in closure.ideal.generators]
+    # current state = upper part of M (initial, 1): x_i - M_in - sum_j M_ij x0_j
+    matrix = PolyMatrix.generic(n + 1, total)
     for i in range(n):
-        terms = {}
-        mono = [0] * total
-        mono[k + i] = 1
-        terms[tuple(mono)] = ONE  # x_i
+        eq = Poly.variable(k + i, total) - matrix[i, n]
         for j in range(n):
-            mono = [0] * total
-            mono[i * (n + 1) + j] = 1
-            mono[k + n + j] = 1
-            terms[tuple(mono)] = -ONE  # -M_ij x0_j
-        mono = [0] * total
-        mono[i * (n + 1) + n] = 1
-        terms[tuple(mono)] = -ONE  # -M_i,n (translation column)
-        gens.append(Poly(total, terms))
+            eq = eq - matrix[i, j] * Poly.variable(k + n + j, total)
+        gens.append(eq)
     return eliminate(Ideal(total, gens), k)
 
 

@@ -7,6 +7,7 @@ error, 3 resource limit.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -213,6 +214,7 @@ def _cmd_schreier(args):
     return payload, "\n".join(text)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zclosure",

@@ -32,10 +32,9 @@ from .poly import (
     ideal_equal,
     ideal_member,
     normal_form,
-    substitute_linear,
 )
 from .relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
-from .structure import is_semisimple, one_parameter, rational_eigenvalues
+from .structure import PolyMatrix, is_semisimple, one_parameter, rational_eigenvalues
 from ._rat import ZERO, ONE, rat
 
 __all__ = [
@@ -67,6 +66,12 @@ MAX_COORDINATES = 10**5
 
 # Most distinct products schreier_generators enumerates before it raises.
 MAX_SCHREIER_PRODUCTS = 200_000
+
+# Most numerator plus denominator bits, over the entries of all distinct
+# products, schreier_generators stores before it raises; above the 7.2 * 10^6
+# bits of 200_000 3x3 products with 2-bit integer entries.  [[2]] reaches it
+# at word length about 3200, in about a second.
+MAX_SCHREIER_BITS = 10**7
 
 
 class GeneratorSet:
@@ -188,28 +193,6 @@ def monomial_lift(point: GLPoint, d: int):
     return _lift(point.coords, d, ONE)
 
 
-def _linear_forms(g: QMatrix):
-    """Embedded coordinates of g·h as linear forms in the coordinates of h."""
-    n = g.rows
-    m = n * n + 1
-    forms = []
-    for i in range(n):
-        for j in range(n):
-            terms = {}
-            for k in range(n):
-                c = g[i, k]
-                if c:
-                    mono = [0] * m
-                    mono[k * n + j] = 1
-                    terms[tuple(mono)] = c
-            forms.append(Poly(m, terms))
-    det = g.det()
-    ymono = [0] * m
-    ymono[m - 1] = 1
-    forms.append(Poly(m, {tuple(ymono): ONE / det}))
-    return forms
-
-
 def lift_operator(g: QMatrix, d: int) -> QMatrix:
     """Dense matrix L with monomial_lift(g·h) = L · monomial_lift(h) for all h.
 
@@ -218,11 +201,14 @@ def lift_operator(g: QMatrix, d: int) -> QMatrix:
     if not g.det():
         raise SingularMatrix("lift operator of a singular matrix")
     m = g.rows * g.rows + 1
+    # the embedded coordinates of g·h: the entries of g·h, then y / det g
+    product = PolyMatrix.constant(g, m) * PolyMatrix.generic(g.rows, m)
+    forms = [*product.entries, Poly.variable(m - 1, m) * (ONE / g.det())]
     basis = monomial_basis(m, d)
     index = {mono: i for i, mono in enumerate(basis)}
     size = len(basis)
     entries = [ZERO] * (size * size)
-    for r, row in enumerate(_lift(_linear_forms(g), d, Poly.const(m, 1))):
+    for r, row in enumerate(_lift(forms, d, Poly.const(m, 1))):
         for mono, c in row.terms.items():
             entries[r * size + index[mono]] = c
     return QMatrix(size, size, entries)
@@ -443,7 +429,7 @@ def closure_cyclic_semisimple(g: QMatrix) -> Ideal:
 
     Diagonalize g = P a P^{-1}, emit the relation-lattice binomials on the
     diagonal, off-diagonal vanishing, and the inverse-determinant relation,
-    then push through the conjugation as a linear change of coordinates.
+    then substitute the entries of P^{-1} X P for the diagonal coordinates.
     """
     if not g.det():
         raise SingularMatrix("need an invertible matrix")
@@ -463,45 +449,19 @@ def closure_cyclic_semisimple(g: QMatrix) -> Ideal:
 
     lattice = rational_relation_lattice(EigenSpec(diag))
     binomials = lattice_to_binomial_ideal(lattice)
-    gens = []
-    for b in binomials.generators:
-        gens.append(Poly(m, {_diag_mono(mono, n): c for mono, c in b.terms.items()}))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gens.append(Poly.variable(i * n + j, m))
-    det_mono = [0] * m
-    for i in range(n):
-        det_mono[i * n + i] = 1
-    det_mono[m - 1] = 1
-    gens.append(Poly(m, {tuple(det_mono): ONE, (0,) * m: -ONE}))
-    diag_model = Ideal(m, gens)
-    return substitute_linear(diag_model, _conjugation_matrix(p, p_inv))
-
-
-def _diag_mono(mono, n):
-    m = n * n + 1
-    out = [0] * m
-    for i, e in enumerate(mono):
-        out[i * n + i] = e
-    return tuple(out)
-
-
-def _conjugation_matrix(p: QMatrix, p_inv: QMatrix) -> QMatrix:
-    """Linear map (vec(D), y) -> (vec(P D P^{-1}), y) on the embedded space."""
-    n = p.rows
-    m = n * n + 1
-    cols = []
-    for k in range(n):
-        for l in range(n):
-            unit = QMatrix(
-                n, n, [ONE if (i, j) == (k, l) else ZERO for i in range(n) for j in range(n)]
-            )
-            image = p * unit * p_inv
-            cols.append(list(image.entries) + [ZERO])
-    cols.append([ZERO] * (n * n) + [ONE])
-    entries = [cols[c][r] for r in range(m) for c in range(m)]
-    return QMatrix(m, m, entries)
+    diagonal = [i * n + i for i in range(n)]
+    gens = [b.map_variables(m, diagonal) for b in binomials.generators]
+    gens.extend(Poly.variable(i * n + j, m) for i in range(n) for j in range(n) if i != j)
+    det_relation = Poly.variable(m - 1, m)
+    for v in diagonal:
+        det_relation = det_relation * Poly.variable(v, m)
+    gens.append(det_relation - 1)
+    # X = P D P^{-1} on the closure, so D = P^{-1} X P: substitute it for D
+    to_diagonal = (
+        PolyMatrix.constant(p_inv, m) * PolyMatrix.generic(n, m) * PolyMatrix.constant(p, m)
+    )
+    mapping = dict(enumerate(to_diagonal.entries))
+    return Ideal(m, [f.subs(mapping) for f in gens])
 
 
 def implicitize(components, num_params: int) -> Ideal:
@@ -511,14 +471,12 @@ def implicitize(components, num_params: int) -> Ideal:
     coordinate.  Eliminates the parameters from <out_i - f_i(params)>.
     """
     k = num_params
-    outs = len(components)
-    total = k + outs
+    total = k + len(components)
     gens = []
     for i, f in enumerate(components):
         if f.arity != k:
             raise ValueError("component arity must equal num_params")
-        lifted = Poly(total, {mono + (0,) * outs: c for mono, c in f.terms.items()})
-        gens.append(Poly.variable(k + i, total) - lifted)
+        gens.append(Poly.variable(k + i, total) - f.map_variables(total, range(k)))
     return eliminate(Ideal(total, gens), k)
 
 
@@ -564,75 +522,25 @@ def is_group_variety(ideal: Ideal, n: int) -> bool:
 
     # product: two generic copies u (vars 0..m-1) and v (vars m..2m-1); the
     # copies share no variable, so their union is a Gröbner basis
-    double = [_shift_poly(f, m, 2 * m, 0) for f in reduced] + [
-        _shift_poly(f, m, 2 * m, m) for f in reduced
+    double = [f.map_variables(2 * m, range(m)) for f in reduced] + [
+        f.map_variables(2 * m, range(m, 2 * m)) for f in reduced
     ]
-    prod_map = {}
-    for i in range(n):
-        for j in range(n):
-            terms = {}
-            for k in range(n):
-                mono = [0] * (2 * m)
-                mono[i * n + k] += 1
-                mono[m + k * n + j] += 1
-                terms[tuple(mono)] = ONE
-            prod_map[i * n + j] = Poly(2 * m, terms)
-    ymono = [0] * (2 * m)
-    ymono[m - 1] = 1
-    ymono[2 * m - 1] = 1
-    prod_map[m - 1] = Poly(2 * m, {tuple(ymono): ONE})
+    product = PolyMatrix.generic(n, 2 * m) * PolyMatrix.generic(n, 2 * m, m)
+    prod_map = dict(enumerate(product.entries))
+    prod_map[m - 1] = Poly.variable(m - 1, 2 * m) * Poly.variable(2 * m - 1, 2 * m)
     for f in reduced:
         if normal_form(f.subs(prod_map), double):
             return False
 
     # inverse: adjugate times y gives the entries, det gives the new y
-    generic = _generic_matrix_polys(n, m)
-    inv_map = {}
+    generic = PolyMatrix.generic(n, m)
     yvar = Poly.variable(m - 1, m)
-    for i in range(n):
-        for j in range(n):
-            inv_map[i * n + j] = _adjugate_entry(generic, n, m, i, j) * yvar
-    inv_map[m - 1] = _poly_det(generic, n, m)
+    inv_map = {k: e * yvar for k, e in enumerate(generic.adjugate().entries)}
+    inv_map[m - 1] = generic.det()
     for f in reduced:
         if not ideal_member(f.subs(inv_map), ideal):
             return False
     return True
-
-
-def _shift_poly(f: Poly, m: int, total: int, offset: int) -> Poly:
-    out = {}
-    for mono, c in f.terms.items():
-        shifted = [0] * total
-        for i, e in enumerate(mono):
-            shifted[offset + i] = e
-        out[tuple(shifted)] = c
-    return Poly(total, out)
-
-
-def _generic_matrix_polys(n, m):
-    return [[Poly.variable(i * n + j, m) for j in range(n)] for i in range(n)]
-
-
-def _poly_det(rows, n, m):
-    if n == 1:
-        return rows[0][0]
-    total = Poly.zero(m)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _poly_det(minor, n - 1, m)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _adjugate_entry(generic, n, m, i, j):
-    """(i, j) entry of the adjugate: signed (j, i) cofactor."""
-    if n == 1:
-        return Poly.const(m, 1)
-    minor = [
-        [generic[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-    ]
-    det = _poly_det(minor, n - 1, m)
-    return det if (i + j) % 2 == 0 else -det
 
 
 def random_words_vanish(result: ClosureResult, generators: GeneratorSet, rng, count=200, max_len=12):
@@ -684,15 +592,19 @@ def schreier_generators(generators: GeneratorSet, member, index_bound: int, leng
     2*index_bound + 1, or length_cap when given (deduplicated), keeping those
     the membership predicate accepts; stops at the first length that adds
     no new product, so a finite group ends the enumeration once it closes.
-    Raises ResourceLimit past MAX_SCHREIER_PRODUCTS distinct products.
+    Raises ResourceLimit past MAX_SCHREIER_PRODUCTS distinct products or
+    MAX_SCHREIER_BITS bits in their entries.
     """
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
+    if length_cap is not None and length_cap < 0:
+        raise ValueError("length cap must be nonnegative")
     cap = length_cap if length_cap is not None else 2 * index_bound + 1
     identity = QMatrix.identity(generators.n)
     seen = {identity.entries}
     ordered = [identity]
     frontier = [identity]
+    bits = 0
     for _ in range(cap):
         nxt = []
         for w in frontier:
@@ -703,6 +615,14 @@ def schreier_generators(generators: GeneratorSet, member, index_bound: int, leng
                     if len(seen) > MAX_SCHREIER_PRODUCTS:
                         raise ResourceLimit(
                             f"product enumeration exceeded {MAX_SCHREIER_PRODUCTS} matrices"
+                        )
+                    bits += sum(
+                        e.numerator.bit_length() + e.denominator.bit_length()
+                        for e in prod.entries
+                    )
+                    if bits > MAX_SCHREIER_BITS:
+                        raise ResourceLimit(
+                            f"product enumeration exceeded {MAX_SCHREIER_BITS} bits of entries"
                         )
                     ordered.append(prod)
                     nxt.append(prod)

@@ -90,9 +90,7 @@ def gl_variable_names(n: int):
     return [f"x{i + 1}{j + 1}" for i in range(n) for j in range(n)] + ["y"]
 
 
-def default_names(arity: int, n=None):
-    if n is not None and arity == n * n + 1:
-        return gl_variable_names(n)
+def default_names(arity: int):
     return [f"z{i + 1}" for i in range(arity)]
 
 

@@ -253,6 +253,18 @@ class Poly:
             total += v
         return total
 
+    def map_variables(self, arity, var_map):
+        """The same polynomial in arity variables, old variable i renamed
+        var_map[i]; var_map (a sequence or a dict) must be injective."""
+        out = {}
+        for mono, c in self.terms.items():
+            new = [0] * arity
+            for i, e in enumerate(mono):
+                if e:
+                    new[var_map[i]] = e
+            out[tuple(new)] = c
+        return Poly(arity, out)
+
     def subs(self, mapping):
         """Substitute polynomials for variables; unmapped variables persist.
 
@@ -270,12 +282,7 @@ class Poly:
 
         def var_power(i, e):
             if (i, e) not in cache:
-                if i in mapping:
-                    cache[(i, e)] = mapping[i] ** e
-                else:
-                    mono = [0] * target
-                    mono[i] = e
-                    cache[(i, e)] = Poly(target, {tuple(mono): ONE})
+                cache[(i, e)] = (mapping[i] if i in mapping else Poly.variable(i, target)) ** e
             return cache[(i, e)]
 
         total = Poly(target)
@@ -427,15 +434,14 @@ def groebner(generators, order=GREVLEX):
             for k in range(new):
                 push(new, k)
 
-    # minimalize: drop elements whose leading monomial is divisible by another's
+    # minimalize: drop elements whose leading monomial is divisible by
+    # another's; of equal leading monomials the first one stays
     keep = []
     for i in range(len(heads)):
         if any(
             j != i and _mono_divides(lead[j], lead[i]) and (sum(lead[j]), j) < (sum(lead[i]), i)
             for j in range(len(heads))
         ):
-            continue
-        if any(j != i and lead[j] == lead[i] and j < i for j in range(len(heads))):
             continue
         keep.append(i)
     minimal = [heads[i] for i in keep]
@@ -528,16 +534,10 @@ def substitute_linear(ideal, a_matrix):
         raise ValueError("matrix size must match ideal arity")
     inv = a_matrix.inverse()  # raises SingularMatrix
     m = ideal.arity
-    mapping = {}
-    for i in range(m):
-        terms = {}
-        for j in range(m):
-            c = inv[i, j]
-            if c:
-                mono = [0] * m
-                mono[j] = 1
-                terms[tuple(mono)] = c
-        mapping[i] = Poly(m, terms)
+    mapping = {
+        i: sum((Poly.variable(j, m) * inv[i, j] for j in range(m)), Poly.zero(m))
+        for i in range(m)
+    }
     return Ideal(m, [g.subs(mapping) for g in ideal.generators])
 
 

@@ -3,8 +3,8 @@
 Characteristic and minimal polynomials, semisimplicity and unipotence
 tests, the Jordan-Chevalley decomposition (computed by Newton iteration on
 the squarefree part of the characteristic polynomial, entirely in rational
-matrix arithmetic), truncated logarithm/exponential of unipotents, and the
-polynomial one-parameter subgroup through a unipotent matrix.
+matrix arithmetic), truncated logarithm/exponential of unipotents, and
+polynomial matrices: one-parameter subgroups, generic matrices, det, adjugate.
 """
 
 import itertools
@@ -196,6 +196,16 @@ class PolyMatrix:
         self.arity = arity
         self.entries = entries
 
+    @classmethod
+    def generic(cls, n, arity, offset=0):
+        """The n x n matrix whose (i, j) entry is variable offset + i n + j."""
+        return cls(n, arity, [Poly.variable(offset + k, arity) for k in range(n * n)])
+
+    @classmethod
+    def constant(cls, q: QMatrix, arity):
+        """The rational square matrix q with constant polynomial entries."""
+        return cls(q.rows, arity, [Poly.const(arity, e) for e in q.entries])
+
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.n + j]
@@ -227,19 +237,38 @@ class PolyMatrix:
     def evaluate(self, point) -> QMatrix:
         return QMatrix(self.n, self.n, [e.evaluate(point) for e in self.entries])
 
+    def minor(self, i, j):
+        """The matrix without row i and column j."""
+        n = self.n
+        entries = [self[r, c] for r in range(n) if r != i for c in range(n) if c != j]
+        return PolyMatrix(n - 1, self.arity, entries)
+
+    def det(self) -> Poly:
+        """Determinant by cofactor expansion along the first row."""
+        if self.n == 1:
+            return self.entries[0]
+        total = Poly.zero(self.arity)
+        for j in range(self.n):
+            term = self[0, j] * self.minor(0, j).det()
+            total = total + term if j % 2 == 0 else total - term
+        return total
+
+    def adjugate(self):
+        """Transposed cofactor matrix: adjugate * self = det * identity."""
+        n = self.n
+        if n == 1:
+            return PolyMatrix(1, self.arity, [Poly.const(self.arity, 1)])
+        out = []
+        for i in range(n):
+            for j in range(n):
+                cofactor = self.minor(j, i).det()
+                out.append(cofactor if (i + j) % 2 == 0 else -cofactor)
+        return PolyMatrix(n, self.arity, out)
+
     def map_variables(self, new_arity, var_map):
         """Reindex variables: old variable i becomes new variable var_map[i]."""
-        out = []
-        for e in self.entries:
-            terms = {}
-            for m, c in e.terms.items():
-                mono = [0] * new_arity
-                for i, exp in enumerate(m):
-                    if exp:
-                        mono[var_map[i]] += exp
-                terms[tuple(mono)] = c
-            out.append(Poly(new_arity, terms))
-        return PolyMatrix(self.n, new_arity, out)
+        entries = [e.map_variables(new_arity, var_map) for e in self.entries]
+        return PolyMatrix(self.n, new_arity, entries)
 
     def max_degree(self):
         return max((e.total_degree() for e in self.entries), default=0)

@@ -435,6 +435,28 @@ class TestSchreierCommand:
         assert out == want
 
 
+    def test_growing_entries_trip_the_size_budget(self, capsys):
+        # [[2]] has infinite order: level L adds 2^L and 2^-L, so the
+        # product count stays small while the entries grow without bound
+        gens = '{"n":1,"generators":[[["2"]]]}'
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "schreier", "--generators", gens, "--index-bound", "100000000",
+            "--member", "identity",
+        )
+        assert code == 3, err
+        assert "bits" in err
+        assert time.perf_counter() - start < 5
+
+    def test_negative_length_cap(self, capsys):
+        code, out, err = run(
+            capsys, "schreier", "--generators", json.dumps(S3), "--index-bound", "2",
+            "--length-cap", "-1",
+        )
+        assert code == 2
+        assert "length cap" in err
+
+
 class TestTextJsonAgreement:
     def test_same_numbers(self, capsys):
         code, text_out, _ = run(

@@ -34,7 +34,8 @@ from zclosure.closure import (
 from zclosure import closure, poly
 from zclosure.linalg import EchelonBasis, QMatrix
 from zclosure.poly import GREVLEX, Ideal, Poly, groebner, ideal_equal, ideal_member
-from zclosure.structure import one_parameter
+from zclosure.relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
+from zclosure.structure import one_parameter, rational_eigenvalues
 from zclosure._rat import rat
 
 
@@ -433,6 +434,43 @@ def reference_minimal_restricted_degree(span, lifts, var_indices):
     return None
 
 
+def reference_shift_poly(f, m, total, offset):
+    """Frozen copy of the former closure._shift_poly."""
+    out = {}
+    for mono, c in f.terms.items():
+        shifted = [0] * total
+        for i, e in enumerate(mono):
+            shifted[offset + i] = e
+        out[tuple(shifted)] = c
+    return Poly(total, out)
+
+
+def reference_generic_matrix_polys(n, m):
+    """Frozen copy of the former closure._generic_matrix_polys."""
+    return [[Poly.variable(i * n + j, m) for j in range(n)] for i in range(n)]
+
+
+def reference_poly_det(rows, n, m):
+    """Frozen copy of the former closure._poly_det."""
+    if n == 1:
+        return rows[0][0]
+    total = Poly.zero(m)
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * reference_poly_det(minor, n - 1, m)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def reference_adjugate_entry(generic, n, m, i, j):
+    """Frozen copy of the former closure._adjugate_entry."""
+    if n == 1:
+        return Poly.const(m, 1)
+    minor = [[generic[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+    det = reference_poly_det(minor, n - 1, m)
+    return det if (i + j) % 2 == 0 else -det
+
+
 def reference_is_group_variety(ideal, n):
     """Frozen copy of the former is_group_variety: each product image is
     tested with ideal_member against the doubled ideal, whose Gröbner basis
@@ -446,8 +484,8 @@ def reference_is_group_variety(ideal, n):
         return False
     double = Ideal(
         2 * m,
-        [closure._shift_poly(f, m, 2 * m, 0) for f in reduced]
-        + [closure._shift_poly(f, m, 2 * m, m) for f in reduced],
+        [reference_shift_poly(f, m, 2 * m, 0) for f in reduced]
+        + [reference_shift_poly(f, m, 2 * m, m) for f in reduced],
     )
     prod_map = {}
     for i in range(n):
@@ -465,14 +503,14 @@ def reference_is_group_variety(ideal, n):
     prod_map[m - 1] = Poly(2 * m, {tuple(ymono): rat(1)})
     if not all(ideal_member(f.subs(prod_map), double) for f in reduced):
         return False
-    generic = closure._generic_matrix_polys(n, m)
+    generic = reference_generic_matrix_polys(n, m)
     yvar = Poly.variable(m - 1, m)
     inv_map = {
-        i * n + j: closure._adjugate_entry(generic, n, m, i, j) * yvar
+        i * n + j: reference_adjugate_entry(generic, n, m, i, j) * yvar
         for i in range(n)
         for j in range(n)
     }
-    inv_map[m - 1] = closure._poly_det(generic, n, m)
+    inv_map[m - 1] = reference_poly_det(generic, n, m)
     return all(ideal_member(f.subs(inv_map), ideal) for f in reduced)
 
 
@@ -549,7 +587,94 @@ class TestAgainstFormerAlgorithms:
         assert True in outcomes and False in outcomes
 
 
+def reference_substitute_linear(ideal, a_matrix):
+    """Frozen copy of the former poly.substitute_linear: f(A^{-1} x)."""
+    inv = a_matrix.inverse()
+    m = ideal.arity
+    mapping = {}
+    for i in range(m):
+        terms = {}
+        for j in range(m):
+            if inv[i, j]:
+                mono = [0] * m
+                mono[j] = 1
+                terms[tuple(mono)] = inv[i, j]
+        mapping[i] = Poly(m, terms)
+    return Ideal(m, [g.subs(mapping) for g in ideal.generators])
+
+
+def reference_conjugation_matrix(p, p_inv):
+    """Frozen copy of the former closure._conjugation_matrix:
+    (vec(D), y) -> (vec(P D P^{-1}), y)."""
+    n = p.rows
+    m = n * n + 1
+    cols = []
+    for k in range(n):
+        for l in range(n):
+            unit = QMatrix(
+                n, n, [rat(int((i, j) == (k, l))) for i in range(n) for j in range(n)]
+            )
+            cols.append(list((p * unit * p_inv).entries) + [rat(0)])
+    cols.append([rat(0)] * (n * n) + [rat(1)])
+    return QMatrix(m, m, [cols[c][r] for r in range(m) for c in range(m)])
+
+
+def reference_cyclic_semisimple(g):
+    """Frozen copy of the former closure_cyclic_semisimple: the diagonal
+    model built from exponent lists (former _diag_mono), pushed through the
+    inverted conjugation matrix."""
+    eigen = rational_eigenvalues(g)
+    n = g.rows
+    m = n * n + 1
+    columns = []
+    diag = []
+    for value in sorted(set(eigen)):
+        for vec in (g - QMatrix.diagonal([value] * n)).kernel_basis():
+            columns.append([vec[i, 0] for i in range(n)])
+            diag.append(value)
+    p = QMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
+    binomials = lattice_to_binomial_ideal(rational_relation_lattice(EigenSpec(diag)))
+    gens = []
+    for b in binomials.generators:
+        terms = {}
+        for mono, c in b.terms.items():
+            out = [0] * m
+            for i, e in enumerate(mono):
+                out[i * n + i] = e
+            terms[tuple(out)] = c
+        gens.append(Poly(m, terms))
+    gens.extend(Poly.variable(i * n + j, m) for i in range(n) for j in range(n) if i != j)
+    det_mono = [0] * m
+    for i in range(n):
+        det_mono[i * n + i] = 1
+    det_mono[m - 1] = 1
+    gens.append(Poly(m, {tuple(det_mono): rat(1), (0,) * m: rat(-1)}))
+    return reference_substitute_linear(
+        Ideal(m, gens), reference_conjugation_matrix(p, p.inverse())
+    )
+
+
+CYCLIC_CASES = [
+    ("torus", QMatrix.diagonal([rat(2), rat(1, 2)])),
+    ("conjugated", qm([[5, -6], [3, -4]])),
+    # eigenvalues 2, 3, 1/2 with eigenvectors (1, 0, 0), (1, 1, 0), (0, 1, 1)
+    ("3x3", qm([[2, 1, -1], [0, 3, rat(-5, 2)], [0, 0, rat(1, 2)]])),
+]
+
+
 class TestCyclicSemisimple:
+    @pytest.mark.parametrize("name,g", CYCLIC_CASES, ids=[c[0] for c in CYCLIC_CASES])
+    def test_generators_match_former_conjugation(self, name, g):
+        want = reference_cyclic_semisimple(g)
+        assert closure_cyclic_semisimple(g).generators == want.generators
+
+    def test_rotation_refused_like_former(self):
+        g = qm([[0, -1], [1, 0]])
+        with pytest.raises(UnsupportedEigenvalues):
+            reference_cyclic_semisimple(g)
+        with pytest.raises(UnsupportedEigenvalues):
+            closure_cyclic_semisimple(g)
+
     def test_identity(self):
         ideal = closure_cyclic_semisimple(QMatrix.identity(2))
         assert ideal_equal(ideal, identity_point_ideal(2))
@@ -760,6 +885,16 @@ class TestSchreier:
         monkeypatch.setattr(closure, "MAX_SCHREIER_PRODUCTS", 10)
         with pytest.raises(ResourceLimit, match="exceeded 10 matrices"):
             schreier_generators(sl2_generators(), lambda g: True, 3)
+
+    def test_size_cap(self, monkeypatch):
+        # the 1132 products of words of length <= 7 hold 16280 entry bits
+        monkeypatch.setattr(closure, "MAX_SCHREIER_BITS", 300)
+        with pytest.raises(ResourceLimit, match="exceeded 300 bits"):
+            schreier_generators(sl2_generators(), lambda g: True, 3)
+
+    def test_negative_length_cap(self):
+        with pytest.raises(ValueError, match="length cap"):
+            schreier_generators(sl2_generators(), lambda g: True, 3, length_cap=-1)
 
 
 FINITE_GROUPS = [

@@ -92,6 +92,43 @@ class TestArithmetic:
         assert derivative(x**3 * y, 0) == 3 * x**2 * y
 
 
+def seeded_poly(rng, arity, terms=6, max_exp=3):
+    return Poly(
+        arity,
+        {
+            tuple(rng.randint(0, max_exp) for _ in range(arity)): rat(
+                rng.randint(-9, 9), rng.randint(1, 5)
+            )
+            for _ in range(terms)
+        },
+    )
+
+
+class TestMapVariables:
+    @pytest.mark.parametrize(
+        "arity,new_arity,var_map",
+        [
+            (3, 7, range(4, 7)),  # offset
+            (3, 6, [0, 2, 4]),  # interleaved
+            (3, 10, {0: 0, 1: 4, 2: 8}),  # diagonal of a 3x3 matrix, then y
+            (3, 3, [2, 0, 1]),  # permutation
+        ],
+        ids=["offset", "interleaved", "diagonal", "permutation"],
+    )
+    def test_matches_substitution_of_variables(self, arity, new_arity, var_map):
+        rng = random.Random(f"map-{new_arity}")
+        for _ in range(10):
+            f = seeded_poly(rng, arity)
+            want = f.subs({i: Poly.variable(var_map[i], new_arity) for i in range(arity)})
+            got = f.map_variables(new_arity, var_map)
+            assert got == want
+            assert got.arity == new_arity
+
+    def test_zero_and_constant(self):
+        assert Poly.zero(2).map_variables(4, [1, 3]) == Poly.zero(4)
+        assert Poly.const(2, 5).map_variables(4, [1, 3]) == Poly.const(4, 5)
+
+
 class TestNormalForm:
     def test_zero(self):
         x, y = vars2()

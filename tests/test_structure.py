@@ -7,6 +7,7 @@ from zclosure.errors import NotUnipotent, SingularMatrix, UnsupportedEigenvalues
 from zclosure.linalg import QMatrix
 from zclosure.poly import Poly, derivative, uni_divmod, uni_gcd
 from zclosure.structure import (
+    PolyMatrix,
     char_poly,
     companion_matrix,
     eval_poly_at_matrix,
@@ -275,6 +276,46 @@ class TestOneParameter:
             for idx in range(n * n):
                 shifted = phi.entries[idx].subs({0: z2 + w2})
                 assert shifted == product.entries[idx]
+
+
+class TestPolyMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_adjugate_times_generic_is_det_identity(self, n):
+        generic = PolyMatrix.generic(n, n * n)
+        det = generic.det()
+        zero = Poly.zero(n * n)
+        det_identity = PolyMatrix(
+            n, n * n, [det if i == j else zero for i in range(n) for j in range(n)]
+        )
+        assert generic.adjugate() * generic == det_identity
+        assert generic * generic.adjugate() == det_identity
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_det_and_adjugate_at_rational_points(self, n):
+        rng = random.Random(40 + n)
+        generic = PolyMatrix.generic(n, n * n)
+        det = generic.det()
+        adjugate = generic.adjugate()
+        for _ in range(10):
+            point = [rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n * n)]
+            q = QMatrix(n, n, point)
+            assert det.evaluate(point) == q.det()
+            if q.det():
+                assert adjugate.evaluate(point) * (1 / q.det()) == q.inverse()
+
+    def test_generic_offset_and_constant(self):
+        q = qm([[1, 2], [3, 4]])
+        generic = PolyMatrix.generic(2, 6, 2)
+        assert generic[1, 0] == Poly.variable(4, 6)
+        product = PolyMatrix.constant(q, 6) * generic
+        point = [rat(9), rat(9), rat(5), rat(6), rat(7), rat(8)]
+        assert product.evaluate(point) == q * qm([[5, 6], [7, 8]])
+
+    def test_minor(self):
+        generic = PolyMatrix.generic(3, 9)
+        assert generic.minor(1, 0).entries == tuple(
+            Poly.variable(v, 9) for v in (1, 2, 7, 8)
+        )
 
 
 class TestRationalEigenvalues:
