@@ -88,16 +88,3 @@ def strongest_invariant(program: AffineProgram, d: int) -> Ideal:
         gens.append(eq)
     return eliminate(Ideal(total, gens), k)
 
-
-def run_program(program: AffineProgram, start, steps, rng):
-    """Execute random updates from a start state; returns the trajectory."""
-    state = [rat(x) for x in start]
-    trail = [tuple(state)]
-    for _ in range(steps):
-        a, b = program.updates[rng.randrange(len(program.updates))]
-        state = [
-            sum((a[i, j] * state[j] for j in range(program.num_vars)), ZERO) + b[i]
-            for i in range(program.num_vars)
-        ]
-        trail.append(tuple(state))
-    return trail

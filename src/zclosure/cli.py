@@ -47,10 +47,13 @@ __all__ = ["cli_main", "main"]
 
 def _load_json(source: str):
     text = source.strip()
-    if text.startswith("{") or text.startswith("["):
-        return json.loads(text)
-    with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if text.startswith("{") or text.startswith("["):
+            return json.loads(text)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON input nested too deeply") from None
 
 
 def _reduced(ideal: Ideal) -> Ideal:
@@ -134,7 +137,10 @@ def _cmd_decompose(args):
 
 def _cmd_relations(args):
     if args.eigenvalues:
-        values = [rat_from_str(v) for v in _load_json(args.eigenvalues)]
+        data = _load_json(args.eigenvalues)
+        if not isinstance(data, list):
+            raise ValueError("eigenvalues must be a list of rationals")
+        values = [rat_from_str(v) for v in data]
     elif args.matrix:
         values = rational_eigenvalues(matrix_from_json(_load_json(args.matrix)))
     else:

@@ -35,17 +35,14 @@ from .poly import (
 )
 from .relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
 from .structure import PolyMatrix, is_semisimple, one_parameter, rational_eigenvalues
-from ._rat import ZERO, ONE, rat
+from ._rat import ONE
 
 __all__ = [
     "GeneratorSet",
-    "GLPoint",
     "LiftedBasis",
     "ClosureResult",
     "monomial_basis",
     "gl_embed",
-    "monomial_lift",
-    "lift_operator",
     "lifted_span",
     "invariants_up_to_degree",
     "restricted_kernel",
@@ -57,7 +54,6 @@ __all__ = [
     "is_group_variety",
     "auto_closure",
     "schreier_generators",
-    "random_words_vanish",
 ]
 
 # Largest monomial coordinate count C(m + d, d) a span is built in; 3x3
@@ -103,30 +99,12 @@ class GeneratorSet:
         return f"GeneratorSet(n={self.n}, {len(self.gens)} generators)"
 
 
-class GLPoint:
-    """Point of the (n^2+1)-coordinate model: entries row-major, then 1/det."""
-
-    __slots__ = ("n", "coords")
-
-    def __init__(self, n, coords):
-        coords = tuple(rat(c) for c in coords)
-        if len(coords) != n * n + 1:
-            raise ValueError("coordinate count mismatch")
-        self.n = n
-        self.coords = coords
-
-    def __eq__(self, other):
-        return isinstance(other, GLPoint) and self.n == other.n and self.coords == other.coords
-
-    def __repr__(self):
-        return f"GLPoint({', '.join(str(c) for c in self.coords)})"
-
-
-def gl_embed(g: QMatrix) -> GLPoint:
+def gl_embed(g: QMatrix):
+    """The point of g in the (n^2+1)-coordinate model: entries row-major, then 1/det g."""
     det = g.det()
     if not det:
         raise SingularMatrix("cannot embed a singular matrix")
-    return GLPoint(g.rows, list(g.entries) + [ONE / det])
+    return (*g.entries, ONE / det)
 
 
 @lru_cache(maxsize=None)
@@ -179,39 +157,13 @@ def _lift_codegrees(m: int, d: int):
     return tuple((d - sum(mono[:-1]), d - mono[-1]) for mono in monomial_basis(m, d))
 
 
-def _lift(coords, d, one):
-    """All monomials of degree <= d in coords, one product per monomial."""
-    out = [one]
+def _lift(coords, d):
+    """All monomials of degree <= d in the integer coords, one product per monomial."""
+    out = [1]
     for parent, var in _lift_table(len(coords), d):
         x = out[parent]
         out.append(x * coords[var] if x else x)
     return out
-
-
-def monomial_lift(point: GLPoint, d: int):
-    """Vector of all monomials of degree <= d evaluated at the point."""
-    return _lift(point.coords, d, ONE)
-
-
-def lift_operator(g: QMatrix, d: int) -> QMatrix:
-    """Dense matrix L with monomial_lift(g·h) = L · monomial_lift(h) for all h.
-
-    Row r is the r-th monomial of the linear forms of g·h in the coordinates of h.
-    """
-    if not g.det():
-        raise SingularMatrix("lift operator of a singular matrix")
-    m = g.rows * g.rows + 1
-    # the embedded coordinates of g·h: the entries of g·h, then y / det g
-    product = PolyMatrix.constant(g, m) * PolyMatrix.generic(g.rows, m)
-    forms = [*product.entries, Poly.variable(m - 1, m) * (ONE / g.det())]
-    basis = monomial_basis(m, d)
-    index = {mono: i for i, mono in enumerate(basis)}
-    size = len(basis)
-    entries = [ZERO] * (size * size)
-    for r, row in enumerate(_lift(forms, d, Poly.const(m, 1))):
-        for mono, c in row.terms.items():
-            entries[r * size + index[mono]] = c
-    return QMatrix(size, size, entries)
 
 
 class LiftedBasis:
@@ -287,7 +239,7 @@ def _scaled_lift(element, d):
     in y is H^alpha a^k / (D^e b^k); times D^d b^d it is an integer.
     """
     h, den, a, b = element
-    out = _lift(h + (a,), d, 1)
+    out = _lift(h + (a,), d)
     if den == 1 and b == 1:
         return out
     dpow = [den**i for i in range(d + 1)]
@@ -515,7 +467,7 @@ def is_group_variety(ideal: Ideal, n: int) -> bool:
     reduced = ideal.groebner(GREVLEX)
     if not reduced:
         return True
-    identity = gl_embed(QMatrix.identity(n)).coords
+    identity = gl_embed(QMatrix.identity(n))
     for f in reduced:
         if f.evaluate(identity) != 0:
             return False
@@ -540,28 +492,6 @@ def is_group_variety(ideal: Ideal, n: int) -> bool:
     for f in reduced:
         if not ideal_member(f.subs(inv_map), ideal):
             return False
-    return True
-
-
-def random_words_vanish(result: ClosureResult, generators: GeneratorSet, rng, count=200, max_len=12):
-    """Check that every kernel polynomial vanishes on random words; exact."""
-    kernel = result.span.kernel_vectors()
-    if not kernel:
-        return True
-    d = result.degree_used
-    for _ in range(count):
-        length = rng.randint(0, max_len)
-        word = QMatrix.identity(generators.n)
-        for _ in range(length):
-            word = word * rng.choice(generators.with_inverses)
-        lift = monomial_lift(gl_embed(word), d)
-        for vec in kernel:
-            total = ZERO
-            for a, b in zip(vec, lift):
-                if a:
-                    total += a * b
-            if total:
-                return False
     return True
 
 

@@ -64,6 +64,8 @@ def matrix_from_json(rows, field="matrix") -> QMatrix:
         or len({len(row) for row in rows}) > 1
     ):
         raise ValueError(f"{field} must be a list of equal-length lists")
+    if not rows or not rows[0]:
+        raise ValueError(f"{field} needs at least one row and one column")
     return QMatrix.from_rows([[rat_from_str(e) for e in row] for row in rows])
 
 
@@ -78,6 +80,8 @@ def generators_from_json(obj) -> GeneratorSet:
         raise ValueError('"generators" must be a list of matrices')
     if type(obj["n"]) is not int:
         raise ValueError('"n" must be an integer')
+    if obj["n"] < 1:
+        raise ValueError('"n" must be at least 1')
     mats = [matrix_from_json(m, f"generators[{i}]") for i, m in enumerate(obj["generators"])]
     gens = GeneratorSet(mats)
     if gens.n != obj["n"]:
@@ -254,10 +258,16 @@ def bound_report_from_json(obj) -> BoundReport:
 def affine_program_from_json(obj) -> AffineProgram:
     if not isinstance(obj, dict) or "num_vars" not in obj or not isinstance(obj.get("updates"), list):
         raise ValueError('an affine program must be a JSON object with "num_vars" and a list "updates"')
+    if type(obj["num_vars"]) is not int:
+        raise ValueError('"num_vars" must be an integer')
+    if obj["num_vars"] < 1:
+        raise ValueError('"num_vars" must be at least 1')
     updates = []
     for i, u in enumerate(obj["updates"]):
         if not isinstance(u, dict) or "A" not in u or "b" not in u:
             raise ValueError(f'updates[{i}] must be a JSON object with "A" and "b"')
+        if not isinstance(u["b"], list):
+            raise ValueError(f"updates[{i}].b must be a list")
         a = matrix_from_json(u["A"], f"updates[{i}].A")
         b = [rat_from_str(x) for x in u["b"]]
         updates.append((a, b))

@@ -103,13 +103,6 @@ class QMatrix:
     def is_zero(self):
         return all(not e for e in self.entries)
 
-    def transpose(self):
-        return QMatrix(
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def __add__(self, other):
         self._same_shape(other)
         return QMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])

@@ -24,7 +24,6 @@ __all__ = [
     "eliminate",
     "ideal_member",
     "ideal_equal",
-    "substitute_linear",
     "uni_divmod",
     "uni_gcd",
     "derivative",
@@ -523,22 +522,6 @@ def ideal_equal(a, b):
     if a.generators == b.generators:
         return True
     return a.groebner(GREVLEX) == b.groebner(GREVLEX)
-
-
-def substitute_linear(ideal, a_matrix):
-    """Ideal of the image of V(ideal) under the coordinate change x -> A x.
-
-    Each generator f becomes f(A^{-1} x); A must be square of size arity.
-    """
-    if a_matrix.rows != a_matrix.cols or a_matrix.rows != ideal.arity:
-        raise ValueError("matrix size must match ideal arity")
-    inv = a_matrix.inverse()  # raises SingularMatrix
-    m = ideal.arity
-    mapping = {
-        i: sum((Poly.variable(j, m) * inv[i, j] for j in range(m)), Poly.zero(m))
-        for i in range(m)
-    }
-    return Ideal(m, [g.subs(mapping) for g in ideal.generators])
 
 
 # ---------------------------------------------------------------------------

@@ -245,8 +245,8 @@ class PolyMatrix:
 
     def det(self) -> Poly:
         """Determinant by cofactor expansion along the first row."""
-        if self.n == 1:
-            return self.entries[0]
+        if self.n == 0:
+            return Poly.const(self.arity, 1)
         total = Poly.zero(self.arity)
         for j in range(self.n):
             term = self[0, j] * self.minor(0, j).det()
@@ -256,8 +256,6 @@ class PolyMatrix:
     def adjugate(self):
         """Transposed cofactor matrix: adjugate * self = det * identity."""
         n = self.n
-        if n == 1:
-            return PolyMatrix(1, self.arity, [Poly.const(self.arity, 1)])
         out = []
         for i in range(n):
             for j in range(n):

@@ -1,0 +1,105 @@
+"""Independent computations the tests check the engine against.
+
+None of these is engine code: each recomputes what the engine computes
+another way (power products instead of the engine's integer lift, a dense
+lift operator, a substitution by the inverse matrix), or drives the
+engine's answers from outside (random words, random program runs).
+"""
+
+from zclosure.closure import gl_embed, monomial_basis
+from zclosure.linalg import QMatrix
+from zclosure.poly import Ideal, Poly
+from zclosure.structure import PolyMatrix
+from zclosure._rat import ONE, ZERO, rat
+
+
+def monomial_lift(coords, d):
+    """All monomials of degree <= d at the point, in monomial_basis order.
+
+    Each monomial is its own power product of the coordinates.
+    """
+    out = []
+    for mono in monomial_basis(len(coords), d):
+        value = ONE
+        for c, e in zip(coords, mono):
+            if e:
+                value *= c**e
+        out.append(value)
+    return out
+
+
+def lift_operator(g: QMatrix, d: int) -> QMatrix:
+    """Dense matrix L with monomial_lift(gl_embed(g h), d) = L monomial_lift(gl_embed(h), d).
+
+    The coordinates of g h are linear forms in those of h: the entries of g
+    times the generic matrix, then y / det g.  Row r holds the coefficients
+    of the r-th monomial in those forms.
+    """
+    m = g.rows * g.rows + 1
+    product = PolyMatrix.constant(g, m) * PolyMatrix.generic(g.rows, m)
+    forms = [*product.entries, Poly.variable(m - 1, m) * (ONE / g.det())]
+    basis = monomial_basis(m, d)
+    index = {mono: i for i, mono in enumerate(basis)}
+    size = len(basis)
+    entries = [ZERO] * (size * size)
+    for r, mono in enumerate(basis):
+        row = Poly.const(m, 1)
+        for form, e in zip(forms, mono):
+            if e:
+                row = row * form**e
+        for term, c in row.terms.items():
+            entries[r * size + index[term]] = c
+    return QMatrix(size, size, entries)
+
+
+def random_words_vanish(result, generators, rng, count=200, max_len=12):
+    """Every kernel vector of the result's span vanishes on the lifts of
+    count random words of length at most max_len; exact."""
+    kernel = result.span.kernel_vectors()
+    if not kernel:
+        return True
+    d = result.degree_used
+    for _ in range(count):
+        length = rng.randint(0, max_len)
+        word = QMatrix.identity(generators.n)
+        for _ in range(length):
+            word = word * rng.choice(generators.with_inverses)
+        lift = monomial_lift(gl_embed(word), d)
+        for vec in kernel:
+            total = ZERO
+            for a, b in zip(vec, lift):
+                if a:
+                    total += a * b
+            if total:
+                return False
+    return True
+
+
+def substitute_linear(ideal, a_matrix):
+    """Ideal of the image of V(ideal) under x -> A x: each generator f becomes f(A^{-1} x)."""
+    inv = a_matrix.inverse()
+    m = ideal.arity
+    mapping = {}
+    for i in range(m):
+        terms = {}
+        for j in range(m):
+            if inv[i, j]:
+                mono = [0] * m
+                mono[j] = 1
+                terms[tuple(mono)] = inv[i, j]
+        mapping[i] = Poly(m, terms)
+    return Ideal(m, [g.subs(mapping) for g in ideal.generators])
+
+
+def run_program(program, start, steps, rng):
+    """The states of one run of steps random updates from start, start first."""
+    state = [rat(x) for x in start]
+    trail = [tuple(state)]
+    for _ in range(steps):
+        a, b = program.updates[rng.randrange(len(program.updates))]
+        state = [
+            sum((a[i, j] * state[j] for j in range(program.num_vars)), ZERO) + b[i]
+            for i in range(program.num_vars)
+        ]
+        trail.append(tuple(state))
+    return trail

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from zclosure.affine import AffineProgram, run_program, strongest_invariant
+from zclosure.affine import AffineProgram, strongest_invariant
 from zclosure.bounds import (
     unipotent_degree_bound,
     semisimple_index_bound,
@@ -27,7 +27,6 @@ from zclosure.closure import (
     gl_embed,
     invariants_up_to_degree,
     minimal_restricted_degree,
-    monomial_lift,
     restricted_kernel,
     schreier_generators,
 )
@@ -48,6 +47,8 @@ from zclosure.structure import (
 from zclosure.poly import derivative
 from zclosure.tower import tower_exact
 from zclosure._rat import rat
+
+from oracles import monomial_lift, run_program
 
 
 def qm(rows):

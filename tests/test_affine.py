@@ -6,7 +6,6 @@ from zclosure.affine import (
     AffineProgram,
     affine_to_generators,
     homogenize,
-    run_program,
     strongest_invariant,
 )
 from zclosure.closure import implicitize
@@ -14,6 +13,8 @@ from zclosure.errors import NonInvertibleUpdate
 from zclosure.linalg import QMatrix
 from zclosure.poly import GREVLEX, Poly, groebner, ideal_member
 from zclosure._rat import rat
+
+from oracles import run_program
 
 
 def qm(rows):

@@ -263,6 +263,30 @@ class TestDecomposeCommand:
             "matrices[0] must be a list of equal-length lists",
         ),
         (["decompose", "--matrix", '{"a":1}'], "matrix must be a list of equal-length lists"),
+        (["decompose", "--matrix", "[]"], "matrix needs at least one row and one column"),
+        (["decompose", "--matrix", "[[]]"], "matrix needs at least one row and one column"),
+        (["relations", "--matrix", "[]"], "matrix needs at least one row and one column"),
+        (
+            ["closure", "--generators", '{"n":0,"generators":[[]]}', "--degree", "2"],
+            '"n" must be at least 1',
+        ),
+        (
+            ["closure", "--generators", '{"n":0,"generators":[[]]}', "--auto"],
+            '"n" must be at least 1',
+        ),
+        (
+            ["invariant", "--program", '{"num_vars":true,"updates":[{"A":[["1"]],"b":["1"]}]}', "--degree", "1"],
+            '"num_vars" must be an integer',
+        ),
+        (
+            ["invariant", "--program", '{"num_vars":0,"updates":[{"A":[],"b":[]}]}', "--degree", "1"],
+            '"num_vars" must be at least 1',
+        ),
+        (
+            ["invariant", "--program", '{"num_vars":2,"updates":[{"A":[["1","0"],["0","1"]],"b":"12"}]}', "--degree", "1"],
+            "updates[0].b must be a list",
+        ),
+        (["relations", "--eigenvalues", '{"2": 0, "1/2": 0}'], "eigenvalues must be a list of rationals"),
     ],
     ids=[
         "generators-int",
@@ -274,12 +298,40 @@ class TestDecomposeCommand:
         "matrices-object",
         "matrices-entry-object",
         "decompose-object",
+        "decompose-no-rows",
+        "decompose-no-columns",
+        "relations-no-rows",
+        "closure-n-zero",
+        "closure-auto-n-zero",
+        "num-vars-bool",
+        "num-vars-zero",
+        "b-string",
+        "eigenvalues-object",
     ],
 )
 def test_matrix_shape_error_names_field(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "--generators", '{"n":1,"generators":%s}', "--degree", "1"],
+        ["invariant", "--program", '{"num_vars":1,"updates":%s}', "--degree", "1"],
+        ["relations", "--eigenvalues", "%s"],
+    ],
+    ids=["closure", "invariant", "relations"],
+)
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, argv):
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(argv[2] % deep, encoding="utf-8")
+    for source in (argv[2] % deep, str(path)):
+        code, out, err = run(capsys, *argv[:2], source, *argv[3:])
+        assert code == 2
+        assert err == "error: JSON input nested too deeply\n"
 
 
 def test_bare_generator_list_is_input_error(capsys):

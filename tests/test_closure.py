@@ -13,7 +13,6 @@ from zclosure.errors import (
 from zclosure.closure import (
     ClosureResult,
     GeneratorSet,
-    GLPoint,
     auto_closure,
     closure_cyclic_semisimple,
     closure_unipotent_product,
@@ -22,13 +21,10 @@ from zclosure.closure import (
     implicitize,
     invariants_up_to_degree,
     is_group_variety,
-    lift_operator,
     lifted_span,
     minimal_restricted_degree,
     monomial_basis,
-    monomial_lift,
     restricted_kernel,
-    random_words_vanish,
     schreier_generators,
 )
 from zclosure import closure, poly
@@ -37,6 +33,8 @@ from zclosure.poly import GREVLEX, Ideal, Poly, groebner, ideal_equal, ideal_mem
 from zclosure.relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
 from zclosure.structure import one_parameter, rational_eigenvalues
 from zclosure._rat import rat
+
+from oracles import lift_operator, monomial_lift, random_words_vanish, substitute_linear
 
 
 def qm(rows):
@@ -102,15 +100,13 @@ class TestGeneratorSet:
 
 class TestEmbed:
     def test_identity(self):
-        p = gl_embed(QMatrix.identity(2))
-        assert p.coords == (rat(1), rat(0), rat(0), rat(1), rat(1))
+        assert gl_embed(QMatrix.identity(2)) == (rat(1), rat(0), rat(0), rat(1), rat(1))
 
     def test_diag(self):
-        p = gl_embed(QMatrix.diagonal([rat(2), rat(3)]))
-        assert p.coords[-1] == rat(1, 6)
+        assert gl_embed(QMatrix.diagonal([rat(2), rat(3)]))[-1] == rat(1, 6)
 
     def test_shear(self):
-        assert gl_embed(qm([[1, 1], [0, 1]])).coords == (
+        assert gl_embed(qm([[1, 1], [0, 1]])) == (
             rat(1), rat(1), rat(0), rat(1), rat(1),
         )
 
@@ -122,8 +118,7 @@ class TestEmbed:
         rng = random.Random(1)
         for _ in range(10):
             g = random_invertible(rng, 2)
-            p = gl_embed(g)
-            assert g.det() * p.coords[-1] == 1
+            assert g.det() * gl_embed(g)[-1] == 1
 
 
 class TestMonomialBasis:
@@ -160,18 +155,29 @@ class TestMonomialBasis:
 
     @pytest.mark.parametrize("n", [2, 3], ids=["m5", "m10"])
     def test_lift_is_power_products(self, n):
-        m = n * n + 1
+        # the engine's integer lift of g = H / D with 1/det g = a / b is
+        # D^d b^d times the power-product lift of gl_embed(g)
         rng = random.Random(n)
         for d in range(5):
-            coords = [rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)]
-            coords[rng.randrange(m)] = rat(0)
-            expected = []
-            for mono in monomial_basis(m, d):
-                v = rat(1)
-                for c, e in zip(coords, mono):
-                    v *= c**e
-                expected.append(v)
-            assert monomial_lift(GLPoint(n, coords), d) == expected
+            for _ in range(4):
+                while True:
+                    entries = [rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n * n)]
+                    entries[rng.randrange(n * n)] = rat(0)
+                    g = QMatrix(n, n, entries)
+                    if g.det():
+                        break
+                element = closure._int_element(g)
+                scale = (element[1] * element[3]) ** d
+                expected = [scale * x for x in monomial_lift(gl_embed(g), d)]
+                assert closure._scaled_lift(element, d) == expected
+
+    @pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+    def test_int_product_is_matrix_product(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(20):
+            g, w = random_invertible(rng, n), random_invertible(rng, n)
+            product = closure._int_product(closure._int_element(g), closure._int_element(w), n)
+            assert product == closure._int_element(g * w)
 
 
 class TestLiftOperator:
@@ -479,7 +485,7 @@ def reference_is_group_variety(ideal, n):
     reduced = ideal.groebner(GREVLEX)
     if not reduced:
         return True
-    identity = gl_embed(QMatrix.identity(n)).coords
+    identity = gl_embed(QMatrix.identity(n))
     if any(f.evaluate(identity) != 0 for f in reduced):
         return False
     double = Ideal(
@@ -587,22 +593,6 @@ class TestAgainstFormerAlgorithms:
         assert True in outcomes and False in outcomes
 
 
-def reference_substitute_linear(ideal, a_matrix):
-    """Frozen copy of the former poly.substitute_linear: f(A^{-1} x)."""
-    inv = a_matrix.inverse()
-    m = ideal.arity
-    mapping = {}
-    for i in range(m):
-        terms = {}
-        for j in range(m):
-            if inv[i, j]:
-                mono = [0] * m
-                mono[j] = 1
-                terms[tuple(mono)] = inv[i, j]
-        mapping[i] = Poly(m, terms)
-    return Ideal(m, [g.subs(mapping) for g in ideal.generators])
-
-
 def reference_conjugation_matrix(p, p_inv):
     """Frozen copy of the former closure._conjugation_matrix:
     (vec(D), y) -> (vec(P D P^{-1}), y)."""
@@ -649,7 +639,7 @@ def reference_cyclic_semisimple(g):
         det_mono[i * n + i] = 1
     det_mono[m - 1] = 1
     gens.append(Poly(m, {tuple(det_mono): rat(1), (0,) * m: rat(-1)}))
-    return reference_substitute_linear(
+    return substitute_linear(
         Ideal(m, gens), reference_conjugation_matrix(p, p.inverse())
     )
 
@@ -689,7 +679,7 @@ class TestCyclicSemisimple:
         g = qm([[5, -6], [3, -4]])  # eigenvalues 2 and -1, rational eigenvectors
         ideal = closure_cyclic_semisimple(g)
         for t in range(-3, 4):
-            point = gl_embed(g**t).coords
+            point = gl_embed(g**t)
             for f in ideal.generators:
                 assert f.evaluate(point) == 0
         # relation lattice of (2, -1) is generated by (0, 2): so g^2 is in a
@@ -766,7 +756,7 @@ class TestUnipotentProduct:
             z1 = rat(rng.randint(-5, 5), rng.randint(1, 4))
             z2 = rat(rng.randint(-5, 5), rng.randint(1, 4))
             mat = one_parameter(e12).evaluate([z1]) * one_parameter(e23).evaluate([z2])
-            point = gl_embed(mat).coords
+            point = gl_embed(mat)
             for f in ideal.generators:
                 assert f.evaluate(point) == 0
 

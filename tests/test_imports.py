@@ -94,3 +94,62 @@ def test_scan_finds_orphaned_private_name():
 def test_no_orphaned_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert orphaned_private_names(sources) == []
+
+
+def unexported_unread_names(sources):
+    """Public module-level functions and classes that no __all__ lists and
+    no code in the sources reads.
+
+    sources maps module names to their text.  A name is read when its module
+    loads it outside its own definition, another module imports it from that
+    module, or any module reads an attribute of that name.  Such a name
+    serves only code outside the sources, such as tests.
+    """
+    defined = []
+    exported = set()
+    read = set()
+    attributes = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined.append((module, stmt.name))
+            elif isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+            ):
+                exported.update(ast.literal_eval(stmt.value))
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id != own:
+                        read.add((module, node.id))
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    read.update((node.module, a.name) for a in node.names)
+    return sorted(
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in exported and (module, name) not in read and name not in attributes
+    )
+
+
+def test_scan_finds_unexported_unread_name():
+    sources = {
+        "a": (
+            "__all__ = ['api']\n"
+            "def api():\n    return helper()\n"
+            "def helper():\n    return 1\n"
+            "def only_tests(k):\n    return only_tests(k - 1)\n"
+            "class Orphan:\n    pass\n"
+            "def imported():\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "b": "from .a import imported\nimported()\n",
+    }
+    assert unexported_unread_names(sources) == ["a.Orphan", "a.only_tests"]
+
+
+def test_no_unexported_unread_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unexported_unread_names(sources) == []

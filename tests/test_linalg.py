@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from zclosure.closure import GeneratorSet, GLPoint, lifted_span, monomial_basis, monomial_lift
+from zclosure.closure import GeneratorSet, lifted_span, monomial_basis
 from zclosure.errors import SingularMatrix
 from zclosure.linalg import (
     QMatrix,
@@ -19,6 +19,8 @@ from zclosure.linalg import (
 )
 from zclosure.poly import GREVLEX
 from zclosure._rat import ONE, ZERO, rat
+
+from oracles import monomial_lift
 
 
 def qm(rows):
@@ -423,7 +425,7 @@ def fraction_lifted_span(generators, d):
     gens = [(g, ONE / g.det()) for g in generators.with_inverses]
     echelon = DenseEchelon(len(basis), priority)
     identity = QMatrix.identity(n)
-    v0 = monomial_lift(GLPoint(n, identity.entries + (ONE,)), d)
+    v0 = monomial_lift(identity.entries + (ONE,), d)
     echelon.insert(v0)
     vectors = [v0]
     elements = [(identity, ONE)]
@@ -434,7 +436,7 @@ def fraction_lifted_span(generators, d):
         g, y = gens[gi]
         w, yw = elements[vi]
         h, yh = g * w, y * yw
-        image = monomial_lift(GLPoint(n, h.entries + (yh,)), d)
+        image = monomial_lift(h.entries + (yh,), d)
         if echelon.insert(image):
             vectors.append(image)
             elements.append((h, yh))

@@ -303,6 +303,11 @@ class TestPolyMatrix:
             if q.det():
                 assert adjugate.evaluate(point) * (1 / q.det()) == q.inverse()
 
+    @pytest.mark.parametrize("arity", [0, 3])
+    def test_empty_det_is_one(self, arity):
+        # like QMatrix.det: the empty product
+        assert PolyMatrix(0, arity, []).det() == Poly.const(arity, 1)
+
     def test_generic_offset_and_constant(self):
         q = qm([[1, 2], [3, 4]])
         generic = PolyMatrix.generic(2, 6, 2)
