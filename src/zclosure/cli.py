@@ -145,6 +145,8 @@ def _cmd_relations(args):
         values = rational_eigenvalues(matrix_from_json(_load_json(args.matrix)))
     else:
         raise ValueError("need --eigenvalues or --matrix")
+    if not values:
+        raise ValueError("need at least one eigenvalue")
     lattice = rational_relation_lattice(EigenSpec(values))
     binomials = lattice_to_binomial_ideal(lattice)
     names = [f"x{i + 1}" for i in range(lattice.n)]

@@ -167,7 +167,18 @@ def _lift(coords, d):
 
 
 class LiftedBasis:
-    """Saturated span of lifted group elements: its echelon, and the witness word of each row."""
+    """Saturated span of lifted group elements: its echelon, and the witness word of each row.
+
+    Pivots are chosen in ascending grevlex order, which compares degree
+    first, so the pivot monomials of degree t are the standard monomials of
+    degree t of the closure ideal I(G), and hilbert_function[t] counts them:
+    the affine Hilbert function of I(G) up to degree d.  Standard monomials
+    form an order ideal, so when hilbert_function[d] is 0 no standard
+    monomial has degree d or more (certifies_finite).  Then the closure is
+    finite, of order dimension, and every element of its reduced grevlex
+    basis has degree at most d and is a minimal kernel vector of this span:
+    monic, with its other terms on pivot columns, so already reduced.
+    """
 
     __slots__ = ("d", "m", "words", "echelon")
 
@@ -180,6 +191,20 @@ class LiftedBasis:
     @property
     def dimension(self):
         return len(self.words)
+
+    @property
+    def hilbert_function(self):
+        """Pivot count per degree 0..d."""
+        counts = [0] * (self.d + 1)
+        basis = monomial_basis(self.m, self.d)
+        for p in self.echelon.pivots:
+            counts[sum(basis[p])] += 1
+        return counts
+
+    @property
+    def certifies_finite(self):
+        """True when no pivot has degree d: the closure is finite (see above)."""
+        return not self.hilbert_function[self.d]
 
     def kernel_vectors(self):
         return self.echelon.kernel()
@@ -287,29 +312,28 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     return LiftedBasis(d, m, words, echelon)
 
 
-def _vector_to_poly(vector, m, d):
-    basis = monomial_basis(m, d)
-    return Poly(m, {mono: c for mono, c in zip(basis, vector) if c})
-
-
-def _minimal_kernel_vectors(span: LiftedBasis):
-    """Kernel vectors whose free monomial no other free monomial divides.
+def _minimal_kernel_polys(span: LiftedBasis):
+    """Kernel polynomials whose free monomial no other free monomial divides.
 
     With grevlex pivots the free monomials are the leading monomials of the
     vanishing polynomials of degree <= d, a set closed under multiplication
     by monomials within degree d.  So a free monomial t is minimal exactly
-    when every t - e_i (t_i > 0) is a pivot column.
+    when every t - e_i (t_i > 0) is a pivot column.  Only the minimal
+    vectors are built, sparsely off the echelon rows.
     """
     basis = monomial_basis(span.m, span.d)
     index = {mono: i for i, mono in enumerate(basis)}
     pivots = set(span.echelon.pivots)
-    free = [c for c in range(len(basis)) if c not in pivots]
-    out = []
-    for fc, vec in zip(free, span.kernel_vectors()):
-        t = basis[fc]
-        if all(index[t[:i] + (e - 1,) + t[i + 1 :]] in pivots for i, e in enumerate(t) if e):
-            out.append(vec)
-    return out
+    minimal = [
+        c
+        for c, t in enumerate(basis)
+        if c not in pivots
+        and all(index[t[:i] + (e - 1,) + t[i + 1 :]] in pivots for i, e in enumerate(t) if e)
+    ]
+    return [
+        Poly(span.m, {basis[c]: x for c, x in vec.items()})
+        for vec in span.echelon.kernel_at(minimal)
+    ]
 
 
 def invariants_up_to_degree(
@@ -320,15 +344,22 @@ def invariants_up_to_degree(
     The returned ideal's generators are the kernel elements of the saturated
     span whose grevlex leading monomials are minimal under divisibility;
     they generate the same ideal as the whole kernel (the span keeps the
-    full kernel in kernel_vectors()).  Each is monic in grevlex.  certified
-    is "degree-complete" only when the caller asserts d dominates the true
-    closure degree.
+    full kernel in kernel_vectors()).  Each is monic in grevlex.
+
+    When the span has no pivot of degree d (span.certifies_finite; see
+    LiftedBasis), the closure is finite and these generators, sorted, are
+    already its reduced grevlex basis: they seed the ideal's GREVLEX cache,
+    and no Buchberger run follows on them.  certified is "degree-complete"
+    only when the caller asserts d dominates the true closure degree.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
     span = lifted_span(generators, d)
-    gens = [_vector_to_poly(v, span.m, d) for v in _minimal_kernel_vectors(span)]
-    ideal = Ideal(span.m, gens)
+    gens = _minimal_kernel_polys(span)
+    if span.certifies_finite:
+        ideal = Ideal.with_grevlex_basis(span.m, gens)
+    else:
+        ideal = Ideal(span.m, gens)
     certified = "degree-complete" if degree_dominates else "heuristic-stable"
     return ClosureResult(ideal, d, certified, span)
 
@@ -500,12 +531,17 @@ def auto_closure(generators: GeneratorSet, max_d: int) -> ClosureResult:
 
     Stops at the first d with V_d = V_{d+1} (as ideals) whose variety passes
     the group certificate; the certificate is heuristic, which the result's
-    certified field records.
+    certified field records.  A degree-d span with no pivot of degree d
+    (span.certifies_finite) stops there before the degree d + 1 span is
+    built: its closure is finite and V_d is the whole closure ideal, so
+    V_d = V_{d+1} and that variety is a group.
     """
     if max_d < 1:
         raise ValueError("max degree must be at least 1")
     previous = invariants_up_to_degree(generators, 1)
     for d in range(1, max_d):
+        if previous.span.certifies_finite:
+            return previous
         current = invariants_up_to_degree(generators, d + 1)
         if ideal_equal(previous.ideal, current.ideal) and is_group_variety(
             previous.ideal, generators.n

@@ -493,3 +493,21 @@ class EchelonBasis:
         for fc, v in basis.items():
             v[fc] = ONE
         return list(basis.values())
+
+    def kernel_at(self, free_columns):
+        """The kernel vectors of the given free (non-pivot) columns, sparse.
+
+        One dict {column: RAT} per column, in the given order, with keys
+        ascending: 1 at the free column fc, and -b / den at the pivot of
+        every row whose tail holds b at fc.  It is the vector kernel()
+        returns for fc, without its zeros, and builds no other vector.
+        """
+        out = []
+        for fc in free_columns:
+            vec = {fc: ONE}
+            for pc, tail, den in zip(self.pivots, self._tails, self._dens):
+                b = tail.get(fc)
+                if b:
+                    vec[pc] = rat(-b, den)
+            out.append(dict(sorted(vec.items())))
+        return out

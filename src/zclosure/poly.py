@@ -473,6 +473,20 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb = {}
 
+    @classmethod
+    def with_grevlex_basis(cls, arity, basis):
+        """The ideal of basis, which the caller knows is its reduced grevlex basis.
+
+        The basis seeds the GREVLEX cache, sorted as groebner sorts its
+        output, so groebner(GREVLEX) runs no Buchberger; the generators keep
+        the given order.
+        """
+        ideal = cls(arity, basis)
+        ideal._gb[GREVLEX] = tuple(
+            sorted(ideal.generators, key=lambda g: GREVLEX.key(g.leading(GREVLEX)[0]))
+        )
+        return ideal
+
     def groebner(self, order=GREVLEX):
         if order not in self._gb:
             self._gb[order] = tuple(groebner(self.generators, order))
@@ -503,9 +517,7 @@ def eliminate(ideal, drop_first_k):
     for g in gb:
         if all(not any(m[:k]) for m in g.terms):
             kept.append(Poly(ideal.arity - k, {m[k:]: c for m, c in g.terms.items()}))
-    result = Ideal(ideal.arity - k, kept)
-    result._gb[GREVLEX] = tuple(kept)
-    return result
+    return Ideal.with_grevlex_basis(ideal.arity - k, kept)
 
 
 def ideal_member(f, ideal):

@@ -2,13 +2,14 @@
 
 None of these is engine code: each recomputes what the engine computes
 another way (power products instead of the engine's integer lift, a dense
-lift operator, a substitution by the inverse matrix), or drives the
-engine's answers from outside (random words, random program runs).
+lift operator, a substitution by the inverse matrix, interpolation on the
+enumerated elements of a finite group), or drives the engine's answers from
+outside (random words, random program runs).
 """
 
 from zclosure.closure import gl_embed, monomial_basis
 from zclosure.linalg import QMatrix
-from zclosure.poly import Ideal, Poly
+from zclosure.poly import GREVLEX, Ideal, Poly
 from zclosure.structure import PolyMatrix
 from zclosure._rat import ONE, ZERO, rat
 
@@ -103,3 +104,78 @@ def run_program(program, start, steps, rng):
         ]
         trail.append(tuple(state))
     return trail
+
+
+def perm_matrix(p):
+    """The permutation matrix with a 1 at (p[j], j) for every column j."""
+    n = len(p)
+    return QMatrix(n, n, [ONE if p[j] == i else ZERO for i in range(n) for j in range(n)])
+
+
+def enumerate_group(gens, n, cap):
+    """Every element of the finite group the n x n gens generate, identity first.
+
+    Breadth-first over products with the generators and their inverses;
+    fails once the group has cap elements or more.
+    """
+    seen = {QMatrix.identity(n).entries: QMatrix.identity(n)}
+    frontier = [QMatrix.identity(n)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in list(gens) + [m.inverse() for m in gens]:
+                p = w * g
+                if p.entries not in seen:
+                    assert len(seen) < cap, "group larger than expected"
+                    seen[p.entries] = p
+                    nxt.append(p)
+        frontier = nxt
+    return list(seen.values())
+
+
+def buchberger_moller(points):
+    """Reduced grevlex basis and standard monomials of the ideal of a finite point set.
+
+    Dense Buchberger-Möller interpolation (Möller & Buchberger 1982, "The
+    construction of multivariate polynomials with preassigned zeros",
+    EUROCAM, LNCS 144): monomials are taken in ascending grevlex order,
+    skipping multiples of leading monomials found so far.  Each one's value
+    vector on the points is reduced against those of the standard monomials
+    before it; a zero remainder gives a basis element with that leading
+    monomial, a nonzero one a new standard monomial.  Basis elements are
+    monic, sorted by ascending leading monomial, as poly.groebner returns
+    them.
+    """
+    m = len(points[0])
+    rows = []  # (pivot, value vector with 1 at pivot, polynomial taking those values)
+    basis, standard = [], []
+    candidates = {(0,) * m}
+    while candidates:
+        t = min(candidates, key=GREVLEX.key)
+        candidates.discard(t)
+        if any(all(a <= b for a, b in zip(g.leading(GREVLEX)[0], t)) for g in basis):
+            continue
+        values = []
+        for point in points:
+            v = ONE
+            for x, e in zip(point, t):
+                if e:
+                    v *= x**e
+            values.append(v)
+        poly = {t: ONE}
+        for pivot, row, combo in rows:
+            c = values[pivot]
+            if c:
+                values = [a - c * b for a, b in zip(values, row)]
+                for mono, b in combo.items():
+                    poly[mono] = poly.get(mono, ZERO) - c * b
+        if not any(values):
+            basis.append(Poly(m, poly))
+            continue
+        pivot = next(i for i, v in enumerate(values) if v)
+        inv = ONE / values[pivot]
+        rows.append((pivot, [v * inv for v in values], {k: c * inv for k, c in poly.items()}))
+        standard.append(t)
+        for i in range(m):
+            candidates.add(t[:i] + (t[i] + 1,) + t[i + 1 :])
+    return basis, standard

@@ -48,7 +48,7 @@ from zclosure.poly import derivative
 from zclosure.tower import tower_exact
 from zclosure._rat import rat
 
-from oracles import monomial_lift, run_program
+from oracles import enumerate_group, monomial_lift, perm_matrix, run_program
 
 
 def qm(rows):
@@ -61,27 +61,6 @@ def report(number, name, elapsed, budget):
 
 def glvars():
     return [Poly.variable(i, 5) for i in range(5)]
-
-
-def perm_matrix(p):
-    n = len(p)
-    return QMatrix(n, n, [rat(1) if p[j] == i else rat(0) for i in range(n) for j in range(n)])
-
-
-def enumerate_group(gens, n, cap=64):
-    seen = {QMatrix.identity(n).entries: QMatrix.identity(n)}
-    frontier = [QMatrix.identity(n)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in list(gens) + [m.inverse() for m in gens]:
-                prod = w * g
-                if prod.entries not in seen:
-                    assert len(seen) < cap
-                    seen[prod.entries] = prod
-                    nxt.append(prod)
-        frontier = nxt
-    return list(seen.values())
 
 
 def random_invertible(rng, n, max_height=10):
@@ -159,7 +138,7 @@ def test_criterion_3_finite_group_oracle(capsys):
     for name, gens, order, degree in FINITE_GROUPS:
         n = gens[0].rows
         assert n <= 3 and order <= 24 and degree <= 3
-        elements = enumerate_group(gens, n)
+        elements = enumerate_group(gens, n, cap=64)
         assert len(elements) == order
         res = invariants_up_to_degree(GeneratorSet(gens), degree)
         lifts = [monomial_lift(gl_embed(g), degree) for g in elements]
@@ -333,7 +312,7 @@ def test_criterion_9_schreier(capsys):
     s1 = perm_matrix([1, 0, 2])
     s2 = perm_matrix([0, 2, 1])
     out = schreier_generators(GeneratorSet([s1, s2]), lambda g: g.det() == 1, 2)
-    generated = enumerate_group(out, 3)
+    generated = enumerate_group(out, 3, cap=64)
     a3 = sorted(perm_matrix(p).entries for p in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
     assert sorted(g.entries for g in generated) == a3  # exactly A3
     elapsed = time.perf_counter() - start

@@ -364,6 +364,11 @@ class TestRelationsCommand:
         code, out, err = run(capsys, "relations")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_eigenvalues_is_input_error(self, capsys, fmt):
+        code, out, err = run(capsys, "relations", "--eigenvalues", "[]", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: need at least one eigenvalue\n")
+
     def test_large_prime_entry_hits_factor_budget(self, capsys):
         start = time.perf_counter()
         code, out, err = run(

@@ -1,7 +1,12 @@
+import contextlib
+import functools
+import io
+import json
 import random
 
 import pytest
 
+from zclosure.cli import cli_main
 from zclosure.errors import (
     NoStabilization,
     NotSemisimple,
@@ -34,7 +39,15 @@ from zclosure.relations import EigenSpec, lattice_to_binomial_ideal, rational_re
 from zclosure.structure import one_parameter, rational_eigenvalues
 from zclosure._rat import rat
 
-from oracles import lift_operator, monomial_lift, random_words_vanish, substitute_linear
+from oracles import (
+    buchberger_moller,
+    enumerate_group,
+    lift_operator,
+    monomial_lift,
+    perm_matrix,
+    random_words_vanish,
+    substitute_linear,
+)
 
 
 def qm(rows):
@@ -52,27 +65,6 @@ def sl2_generators():
 def sl2_ideal():
     x11, x12, x21, x22, y = glvars()
     return Ideal(5, [y - 1, x11 * x22 - x12 * x21 - 1])
-
-
-def perm_matrix(p):
-    n = len(p)
-    return QMatrix(n, n, [rat(1) if p[j] == i else rat(0) for i in range(n) for j in range(n)])
-
-
-def enumerate_group(gens, n, cap=200):
-    seen = {QMatrix.identity(n).entries: QMatrix.identity(n)}
-    frontier = [QMatrix.identity(n)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in list(gens) + [m.inverse() for m in gens]:
-                p = w * g
-                if p.entries not in seen:
-                    assert len(seen) < cap, "group larger than expected"
-                    seen[p.entries] = p
-                    nxt.append(p)
-        frontier = nxt
-    return list(seen.values())
 
 
 def random_invertible(rng, n, max_height=5):
@@ -853,7 +845,7 @@ class TestSchreier:
         s2 = perm_matrix([0, 2, 1])
         S = GeneratorSet([s1, s2])
         out = schreier_generators(S, lambda g: g.det() == 1, 2)
-        generated = enumerate_group(out, 3)
+        generated = enumerate_group(out, 3, cap=200)
         a3 = sorted(
             perm_matrix(p).entries for p in ([0, 1, 2], [1, 2, 0], [2, 0, 1])
         )
@@ -901,7 +893,7 @@ class TestFiniteGroupOracle:
     @pytest.mark.parametrize("name,gens,order", FINITE_GROUPS, ids=[f[0] for f in FINITE_GROUPS])
     def test_interpolation_matches(self, name, gens, order):
         n = gens[0].rows
-        elements = enumerate_group(gens, n)
+        elements = enumerate_group(gens, n, cap=200)
         assert len(elements) == order
         d = 3 if n == 2 else 2
         res = invariants_up_to_degree(GeneratorSet(gens), d)
@@ -914,3 +906,153 @@ class TestFiniteGroupOracle:
             assert span.insert([v[i, 0] for i in range(v.rows)])
         for v in engine:
             assert not span.insert(list(v))
+
+
+def _conjugator(kind, n):
+    """The fixed base of each conjugator kind of the benchmark (perfbench/workloads.py)."""
+
+    def matrix(entry):
+        return QMatrix(n, n, [entry(i, j) for i in range(n) for j in range(n)])
+
+    if kind == "unimodular":
+        upper = matrix(lambda i, j: rat(int(j in (i, i + 1))))
+        return upper * matrix(lambda i, j: rat(int(i == j or (i, j) == (1, 0))))
+    if kind == "rational":
+        return matrix(lambda i, j: rat(1, 2) if (i, j) == (0, n - 1) else rat(int(i == j)))
+    return matrix(lambda i, j: rat(int(j == (i + 1) % n)))
+
+
+CONJUGATOR_KINDS = ("unimodular", "rational", "signed-perm")
+
+# the benchmark's generator families; the finite ones are the first four
+FAMILIES = {
+    "S3": SYM3,
+    "SS3": [qm([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), perm_matrix([0, 2, 1])],
+    "ROT4": [qm([[0, -1], [1, 0]])],
+    "ROT6": [qm([[1, -1], [1, 0]])],
+    "SL2": list(sl2_generators().gens),
+    "SL3": [
+        qm([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+        qm([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+        qm([[1, 0, 0], [0, 1, 0], [1, 0, 1]]),
+    ],
+    "TORUS": [QMatrix.diagonal([rat(2), rat(1, 2)])],
+    "HEIS": HEISENBERG,
+}
+FINITE_FAMILIES = ("S3", "SS3", "ROT4", "ROT6")
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugated(family, kind):
+    gens = FAMILIES[family]
+    p = _conjugator(kind, gens[0].rows)
+    return tuple(p * g * p.inverse() for g in gens)
+
+
+@functools.lru_cache(maxsize=None)
+def _interpolated(family, kind):
+    """The enumerated elements and the Buchberger-Möller basis and staircase of their ideal."""
+    gens = _conjugated(family, kind)
+    elements = enumerate_group(gens, gens[0].rows, cap=200)
+    basis, standard = buchberger_moller([gl_embed(g) for g in elements])
+    return elements, basis, standard
+
+
+def _generators_json(gens):
+    n = gens[0].rows
+    rows = [[[str(g[i, j]) for j in range(n)] for i in range(n)] for g in gens]
+    return json.dumps({"n": n, "generators": rows})
+
+
+class TestHilbertCertificate:
+    """A span with no pivot of degree d certifies a finite closure and its reduced basis."""
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("kind", CONJUGATOR_KINDS)
+    @pytest.mark.parametrize("family", FINITE_FAMILIES)
+    def test_criterion_against_enumeration(self, family, kind, d):
+        res = invariants_up_to_degree(GeneratorSet(_conjugated(family, kind)), d)
+        span = res.span
+        basis = monomial_basis(span.m, d)
+        no_top_pivot = all(sum(basis[p]) < d for p in span.echelon.pivots)
+        assert span.certifies_finite == no_top_pivot
+        elements, bm_basis, standard = _interpolated(family, kind)
+        assert span.hilbert_function == [
+            sum(1 for t in standard if sum(t) == k) for k in range(d + 1)
+        ]
+        assert span.certifies_finite == all(sum(t) < d for t in standard)
+        if not span.certifies_finite:
+            return
+        assert span.dimension == len(elements)
+        for f in res.ideal.generators:
+            for g in elements:
+                assert f.evaluate(gl_embed(g)) == 0
+        cached = res.ideal._gb[GREVLEX]
+        assert list(cached) == groebner(res.ideal.generators) == bm_basis
+
+    @pytest.mark.parametrize(
+        "family,d,kind",
+        [
+            ("S3", 2, "unimodular"),
+            ("S3", 2, "rational"),
+            ("S3", 2, "signed-perm"),
+            ("S3", 3, "signed-perm"),
+            ("ROT4", 4, "unimodular"),
+            ("ROT6", 4, "rational"),
+        ],
+    )
+    def test_benchmark_cells_match_buchberger_moller(self, family, d, kind):
+        res = invariants_up_to_degree(GeneratorSet(_conjugated(family, kind)), d)
+        assert res.span.certifies_finite
+        assert res.ideal.groebner() == _interpolated(family, kind)[1]
+
+    @pytest.mark.parametrize(
+        "family,degrees",
+        [
+            ("SL2", (1, 2, 3)),
+            ("SL3", (1, 2)),
+            ("TORUS", (1, 2, 3, 4)),
+            ("HEIS", (1, 2, 3)),
+            ("SS3", (2,)),
+        ],
+    )
+    @pytest.mark.parametrize("kind", CONJUGATOR_KINDS)
+    def test_never_certified(self, family, degrees, kind):
+        for d in degrees:
+            res = invariants_up_to_degree(GeneratorSet(_conjugated(family, kind)), d)
+            assert not res.span.certifies_finite
+            assert res.span.hilbert_function[d] > 0
+            assert GREVLEX not in res.ideal._gb
+
+    def test_cli_runs_no_buchberger(self, monkeypatch):
+        calls = []
+        real = poly.groebner
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(poly, "groebner", spy)
+        argv = ["closure", "--generators", _generators_json(SYM3), "--degree", "2"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli_main(argv + ["--format", "json"]) == 0
+        assert len(json.loads(out.getvalue())["ideal"]["generators"]) == 20
+        assert calls == []
+
+    def test_auto_closure_stops_at_certified_degree(self, monkeypatch):
+        degrees = []
+        real = closure.lifted_span
+
+        def spy(generators, d):
+            degrees.append(d)
+            return real(generators, d)
+
+        monkeypatch.setattr(closure, "lifted_span", spy)
+        res = auto_closure(GeneratorSet(SYM3), 4)
+        assert degrees == [1, 2]
+        assert res.degree_used == 2
+        assert res.certified == "heuristic-stable"
+        expected = invariants_up_to_degree(GeneratorSet(SYM3), 2).ideal
+        assert res.ideal.generators == expected.generators
+        assert res.ideal.groebner() == groebner(expected.generators)
+
