@@ -18,10 +18,10 @@ from .errors import (
     NoStabilization,
 )
 from ._rat import rat, height
-from .linalg import QMatrix, IntMatrix, matrix_height, integer_kernel
+from .linalg import QMatrix, matrix_height, integer_kernel
 from .poly import Poly, Ideal, groebner, eliminate, ideal_member, ideal_equal
 from .structure import jordan_chevalley, nilpotent_log, one_parameter
-from .relations import EigenSpec, rational_relation_lattice, lattice_to_binomial_ideal
+from .relations import rational_relation_lattice, lattice_to_binomial_ideal
 from .closure import (
     GeneratorSet,
     gl_embed,
@@ -46,7 +46,6 @@ __all__ = [
     "rat",
     "height",
     "QMatrix",
-    "IntMatrix",
     "matrix_height",
     "integer_kernel",
     "Poly",
@@ -58,7 +57,6 @@ __all__ = [
     "jordan_chevalley",
     "nilpotent_log",
     "one_parameter",
-    "EigenSpec",
     "rational_relation_lattice",
     "lattice_to_binomial_ideal",
     "GeneratorSet",

@@ -31,6 +31,7 @@ __all__ = [
     "elimination_degree_bound",
     "quotient_embedding_bounds",
     "masser_lattice_bound",
+    "masser_box_bound",
     "schreier_height_bound",
     "closure_degree_bound",
     "chain_bounds",
@@ -145,9 +146,7 @@ def masser_lattice_bound(n: int, h, c=1, log_base: int = 2) -> TowerNumber:
     to 2 and logs are evaluated as rational upper bounds when irrational.
     """
     _check_n(n)
-    c = Fraction(int(rat(c).numerator), int(rat(c).denominator))
-    if c <= 0:
-        raise ValueError("the absolute constant c must be positive")
+    c = _positive_constant(c)
     if log_base < 2:
         raise ValueError("need log_base >= 2")
     prefix = c * n**7 * math.factorial(n)
@@ -159,6 +158,33 @@ def masser_lattice_bound(n: int, h, c=1, log_base: int = 2) -> TowerNumber:
         raise ValueError("need h >= 2")
     log_h = _log_upper(value, log_base)
     return tower_exact(math.ceil((prefix * log_h) ** n))
+
+
+def masser_box_bound(n: int, h: int, D: int, c=1) -> TowerNumber:
+    """Entry bound for a generating set of the relation lattice.
+
+    (c n ln h)^(n-1) D^(n-1) (ln(D+2))^(3n-3) / (lnln(D+2))^(3n-4),
+    rounded up, with natural logs replaced by rational bounds in the
+    direction that preserves the upper bound.  n = 1 gives 1 (all factor
+    groups are empty products).
+    """
+    if n < 1 or h < 2 or D < 1:
+        raise ValueError("need n >= 1, h >= 2, D >= 1")
+    c = _positive_constant(c)
+    if n == 1:
+        return tower_exact(1)
+    ln_h_hi = ln_bounds(h)[1]
+    ln_d2_lo, ln_d2_hi = ln_bounds(D + 2)
+    lnln_d2_lo = ln_bounds(ln_d2_lo)[0]
+    if lnln_d2_lo <= 0:
+        raise ValueError("D too small for the log-log denominator")
+    value = (
+        (c * n * ln_h_hi) ** (n - 1)
+        * Fraction(D) ** (n - 1)
+        * ln_d2_hi ** (3 * n - 3)
+        / lnln_d2_lo ** (3 * n - 4)
+    )
+    return tower_exact(math.ceil(value))
 
 
 def schreier_height_bound(n: int, h: int) -> TowerNumber:
@@ -249,3 +275,11 @@ def finite_subgroup_order_bound(p: int, field_degree: int = 1) -> TowerNumber:
 def _check_n(n):
     if n < 1:
         raise ValueError("need n >= 1")
+
+
+def _positive_constant(c):
+    """The absolute constant c of a Masser-style formula, as a Fraction."""
+    c = Fraction(int(rat(c).numerator), int(rat(c).denominator))
+    if c <= 0:
+        raise ValueError("the absolute constant c must be positive")
+    return c

@@ -38,7 +38,7 @@ from .jsonio import (
     rat_from_str,
 )
 from .poly import Ideal
-from .relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
+from .relations import lattice_to_binomial_ideal, rational_relation_lattice
 from .structure import jordan_chevalley, rational_eigenvalues
 from ._rat import rat
 
@@ -147,18 +147,19 @@ def _cmd_relations(args):
         raise ValueError("need --eigenvalues or --matrix")
     if not values:
         raise ValueError("need at least one eigenvalue")
-    lattice = rational_relation_lattice(EigenSpec(values))
-    binomials = lattice_to_binomial_ideal(lattice)
-    names = [f"x{i + 1}" for i in range(lattice.n)]
+    n = len(values)
+    rows = rational_relation_lattice(values)
+    binomials = lattice_to_binomial_ideal(rows, n)
+    names = [f"x{i + 1}" for i in range(n)]
     payload = {
-        "n": lattice.n,
+        "n": n,
         "eigenvalues": [str(v) for v in values],
-        "basis": lattice.rows(),
+        "basis": rows,
         "binomials": ideal_to_json(binomials, names),
     }
     text = [
-        f"relation lattice on {lattice.n} eigenvalues",
-        "basis rows: " + (str(lattice.rows()) if lattice.rows() else "(empty)"),
+        f"relation lattice on {n} eigenvalues",
+        "basis rows: " + (str(rows) if rows else "(empty)"),
         "binomials:",
         *_ideal_text_lines(payload["binomials"]),
     ]

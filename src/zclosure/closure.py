@@ -33,7 +33,7 @@ from .poly import (
     ideal_member,
     normal_form,
 )
-from .relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
+from .relations import lattice_to_binomial_ideal, rational_relation_lattice
 from .structure import PolyMatrix, is_semisimple, one_parameter, rational_eigenvalues
 from ._rat import ONE
 
@@ -430,8 +430,7 @@ def closure_cyclic_semisimple(g: QMatrix) -> Ideal:
     p = QMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
     p_inv = p.inverse()
 
-    lattice = rational_relation_lattice(EigenSpec(diag))
-    binomials = lattice_to_binomial_ideal(lattice)
+    binomials = lattice_to_binomial_ideal(rational_relation_lattice(diag), n)
     diagonal = [i * n + i for i in range(n)]
     gens = [b.map_variables(m, diagonal) for b in binomials.generators]
     gens.extend(Poly.variable(i * n + j, m) for i in range(n) for j in range(n) if i != j)

@@ -15,7 +15,6 @@ from ._rat import ZERO, ONE, rat, height
 
 __all__ = [
     "QMatrix",
-    "IntMatrix",
     "EchelonBasis",
     "height",
     "matrix_height",
@@ -236,56 +235,6 @@ def matrix_height(m: QMatrix) -> int:
     return max(height(e) for e in m.entries)
 
 
-class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary-precision entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return cls(n, m, [e for r in rows for e in r])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self):
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        rows = [
-            [str(self[i, j]) for j in range(self.cols)] for i in range(self.rows)
-        ]
-        return "IntMatrix(" + "; ".join(" ".join(r) for r in rows) + ")"
-
-
 def row_hnf(rows):
     """Row Hermite normal form of an integer row list (zero rows dropped).
 
@@ -328,18 +277,18 @@ def row_hnf(rows):
     return [row for row in m[:r]]
 
 
-def integer_kernel(m: IntMatrix) -> IntMatrix:
-    """Basis of {k in Z^cols : m @ k = 0}, as rows of the result.
+def integer_kernel(rows):
+    """Basis rows of {k in Z^c : row . k = 0 for every row}, for a nonempty
+    list of integer rows of length c.
 
-    The HNF of [m^T | I] keeps the unimodular transform in its right block;
-    its rows with a vanishing left block are the HNF of the kernel lattice,
-    so the basis is saturated (every integer kernel vector is an integer
-    combination).
+    The HNF of [rows^T | I] keeps the unimodular transform in its right
+    block; its rows with a vanishing left block are the HNF of the kernel
+    lattice, so the basis is saturated (every integer kernel vector is an
+    integer combination).
     """
-    n, c = m.rows, m.cols
-    aug = [[m[i, j] for i in range(n)] + [1 if t == j else 0 for t in range(c)] for j in range(c)]
-    basis = [row[n:] for row in row_hnf(aug) if not any(row[:n])]
-    return IntMatrix.from_rows(basis) if basis else IntMatrix(0, c, [])
+    n, c = len(rows), len(rows[0])
+    aug = [[row[j] for row in rows] + [1 if t == j else 0 for t in range(c)] for j in range(c)]
+    return [row[n:] for row in row_hnf(aug) if not any(row[:n])]
 
 
 class EchelonBasis:

@@ -185,18 +185,6 @@ class TowerNumber:
     def __hash__(self):
         return hash(self.key())
 
-    def __lt__(self, other):
-        return tower_cmp(self, _coerce(other)) < 0
-
-    def __le__(self, other):
-        return tower_cmp(self, _coerce(other)) <= 0
-
-    def __gt__(self, other):
-        return tower_cmp(self, _coerce(other)) > 0
-
-    def __ge__(self, other):
-        return tower_cmp(self, _coerce(other)) >= 0
-
     def __mul__(self, other):
         return tower_mul(self, _coerce(other))
 
@@ -336,8 +324,8 @@ def tower_add(*xs):
 def tower_max(a, b, bits=128):
     """The larger of a and b; their sum, a sound upper bound, when the
     comparison is undecided at this precision."""
-    c = _cmp(a, b, bits)
-    if c is None:
+    c = tower_cmp(a, b, bits)
+    if c == 0 and _coerce(a).key() != _coerce(b).key():
         return tower_add(a, b)
     return a if c >= 0 else b
 

@@ -97,7 +97,7 @@ class TestQuotientEmbedding:
         for n in (1, 2, 3):
             for d in (1, 2, 3):
                 p, deg = quotient_embedding_bounds(n, d)
-                assert tower_cmp(p, deg) <= 0
+                assert tower_cmp(p, deg) == -1
 
 
 class TestMasserLatticeBound:
@@ -150,7 +150,7 @@ class TestClosureDegreeBound:
 
     def test_final_exceeds_d(self):
         report = closure_degree_bound(1, 2, 1)
-        assert tower_cmp(report["closure_degree"], tower_add(report["block_degree"], 1)) >= 0
+        assert tower_cmp(report["closure_degree"], tower_add(report["block_degree"], 1)) == 1
 
     def test_monotone_in_h(self):
         assert (
@@ -213,7 +213,7 @@ class TestMonotoneSweeps:
                 assert tower_cmp(a, b) == -1
         masser = [masser_lattice_bound(2, h, 1) for h in (2, 4, 8, 16, 64)]
         for a, b in zip(masser, masser[1:]):
-            assert tower_cmp(a, b) <= 0
+            assert tower_cmp(a, b) == -1
         heights = [schreier_height_bound(2, h) for h in (2, 4, 16, 64)]
         for a, b in zip(heights, heights[1:]):
             assert tower_cmp(a, b) == -1

@@ -35,7 +35,7 @@ from zclosure.closure import (
 from zclosure import closure, poly
 from zclosure.linalg import EchelonBasis, QMatrix
 from zclosure.poly import GREVLEX, Ideal, Poly, groebner, ideal_equal, ideal_member
-from zclosure.relations import EigenSpec, lattice_to_binomial_ideal, rational_relation_lattice
+from zclosure.relations import lattice_to_binomial_ideal, rational_relation_lattice
 from zclosure.structure import one_parameter, rational_eigenvalues
 from zclosure._rat import rat
 
@@ -615,7 +615,7 @@ def reference_cyclic_semisimple(g):
             columns.append([vec[i, 0] for i in range(n)])
             diag.append(value)
     p = QMatrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
-    binomials = lattice_to_binomial_ideal(rational_relation_lattice(EigenSpec(diag)))
+    binomials = lattice_to_binomial_ideal(rational_relation_lattice(diag), n)
     gens = []
     for b in binomials.generators:
         terms = {}

@@ -1,7 +1,9 @@
-"""Every import in the engine's modules is used or re-exported, and every
-module-level private name is read somewhere in the engine."""
+"""Every import in the engine's modules is used or re-exported, every
+module-level private name is read somewhere in the engine, and every
+__all__ entry names an attribute of its module."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -153,3 +155,14 @@ def test_scan_finds_unexported_unread_name():
 def test_no_unexported_unread_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unexported_unread_names(sources) == []
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["zclosure"] + [f"zclosure.{p.stem}" for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"],
+)
+def test_every_export_resolves(name):
+    # tracers and star-imports getattr every __all__ entry
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []

@@ -8,11 +8,10 @@ import pytest
 
 from zclosure.errors import ResourceLimit
 from zclosure.poly import Poly, ideal_member
+from zclosure.bounds import masser_box_bound
 from zclosure.relations import (
-    EigenSpec,
     factor_rational,
     lattice_to_binomial_ideal,
-    masser_box_bound,
     rational_relation_lattice,
 )
 from zclosure.tower import tower_exact
@@ -46,7 +45,7 @@ class TestFactor:
 
 
 def lattice_rows(values):
-    return rational_relation_lattice(EigenSpec(values)).rows()
+    return rational_relation_lattice(values)
 
 
 class TestRelationLattice:
@@ -61,6 +60,10 @@ class TestRelationLattice:
         rows = lattice_rows([rat(4), rat(8)])
         assert rows == [[3, -2]]
         assert rat(4) ** 3 * rat(8) ** -2 == 1
+
+    def test_zero_refused(self):
+        with pytest.raises(ValueError, match="eigenvalues must be nonzero"):
+            rational_relation_lattice([rat(2), rat(0)])
 
     def test_minus_one(self):
         assert lattice_rows([rat(-1)]) == [[2]]
@@ -117,9 +120,7 @@ class TestRelationLattice:
         values = [rat(4), rat(-6), rat(9)]
         rows = set(map(tuple, lattice_rows(values)))
         perm = [2, 0, 1]
-        permuted_rows = rational_relation_lattice(
-            EigenSpec([values[i] for i in perm])
-        ).rows()
+        permuted_rows = rational_relation_lattice([values[i] for i in perm])
         # permuting eigenvalues permutes coordinates: same lattice after unpermuting
         unpermuted = set()
         for row in permuted_rows:
@@ -134,28 +135,25 @@ class TestRelationLattice:
 
 class TestBinomialIdeal:
     def test_height_example_binomial(self):
-        lattice = rational_relation_lattice(EigenSpec([rat(32), rat(1, 2)]))
-        ideal = lattice_to_binomial_ideal(lattice)
+        ideal = lattice_to_binomial_ideal(rational_relation_lattice([rat(32), rat(1, 2)]), 2)
         x1 = Poly.variable(0, 2)
         x2 = Poly.variable(1, 2)
         assert len(ideal.generators) == 1
         assert ideal.generators[0] == x1 * x2**5 - 1
 
     def test_empty_lattice(self):
-        ideal = lattice_to_binomial_ideal(rational_relation_lattice(EigenSpec([rat(2), rat(3)])))
+        ideal = lattice_to_binomial_ideal(rational_relation_lattice([rat(2), rat(3)]), 2)
         assert ideal.is_zero()
 
     def test_split_parts(self):
-        lattice = rational_relation_lattice(EigenSpec([rat(4), rat(8)]))
-        ideal = lattice_to_binomial_ideal(lattice)
+        ideal = lattice_to_binomial_ideal(rational_relation_lattice([rat(4), rat(8)]), 2)
         x1 = Poly.variable(0, 2)
         x2 = Poly.variable(1, 2)
         assert ideal.generators[0] == x1**3 - x2**2
 
     def test_binomials_vanish_on_orbit(self):
         values = [rat(-2), rat(4), rat(1, 2)]
-        lattice = rational_relation_lattice(EigenSpec(values))
-        ideal = lattice_to_binomial_ideal(lattice)
+        ideal = lattice_to_binomial_ideal(rational_relation_lattice(values), 3)
         for t in range(-3, 4):
             point = [v**t for v in values]
             for g in ideal.generators:

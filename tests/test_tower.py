@@ -159,6 +159,15 @@ class TestComparison:
         assert tower_max(a, b, bits=32) == tower_add(a, b)
         assert tower_max(b, a, bits=32) == tower_add(a, b)
 
+    def test_no_order_operators(self):
+        # tower_cmp reports an undecided pair as 0, so an order operator built
+        # on it would call a <= b and a >= b both true on the pair above
+        e = tower_fact(10**9)
+        a = tower_pow(2, tower_mul(2, e))
+        b = tower_mul(3, tower_pow(2, e), tower_pow(2, e))
+        with pytest.raises(TypeError):
+            a <= b
+
     def test_total_order_small_sample(self):
         values = [
             tower_exact(3),
