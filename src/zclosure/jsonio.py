@@ -14,7 +14,7 @@ from .bounds import BoundReport
 from .closure import GeneratorSet
 from .linalg import QMatrix
 from .poly import GREVLEX, Ideal, Poly
-from .tower import TowerNumber, tower_exact
+from .tower import TowerNumber, tower_add, tower_exact, tower_fact, tower_mul, tower_pow
 from ._rat import rat
 
 __all__ = [
@@ -207,27 +207,19 @@ def tower_to_json(t: TowerNumber):
 
 
 def tower_from_json(obj) -> TowerNumber:
+    """The tower of a node record, built by the tower constructors: the
+    result is canonical, and exact parts collapse."""
     kind = obj["kind"]
     if kind == "exact":
         return tower_exact(Fraction(obj["value"]))
     if kind == "pow":
-        return TowerNumber(
-            "pow", base=tower_from_json(obj["base"]), exp=tower_from_json(obj["exp"])
-        )
+        return tower_pow(tower_from_json(obj["base"]), tower_from_json(obj["exp"]))
     if kind == "factorial":
-        return TowerNumber("factorial", arg=tower_from_json(obj["arg"]))
+        return tower_fact(tower_from_json(obj["arg"]))
     if kind == "mul":
-        return TowerNumber(
-            "mul",
-            coeff=Fraction(obj["coeff"]),
-            factors=tuple(tower_from_json(f) for f in obj["factors"]),
-        )
+        return tower_mul(Fraction(obj["coeff"]), *map(tower_from_json, obj["factors"]))
     if kind == "add":
-        return TowerNumber(
-            "add",
-            const=Fraction(obj["const"]),
-            terms=tuple(tower_from_json(x) for x in obj["terms"]),
-        )
+        return tower_add(Fraction(obj["const"]), *map(tower_from_json, obj["terms"]))
     raise ValueError(f"unknown tower node kind {kind!r}")
 
 

@@ -5,12 +5,13 @@ operation is exact.  One incremental echelon form, EchelonBasis, whose rows
 are stored sparsely as integer numerators over one denominator each, serves
 the span fixed point, rref, rank, kernels and inverses (det keeps its own
 loop for the pivot product); its arithmetic is on Python ints only, and it
-hands out RAT values.  row_hnf serves integer kernels.
+hands out RAT values.  row_hnf serves integer kernels, under the work budget
+HNF_WORK_BITS.
 """
 
 from math import gcd, lcm
 
-from .errors import SingularMatrix
+from .errors import ResourceLimit, SingularMatrix
 from ._rat import ZERO, ONE, rat, height
 
 __all__ = [
@@ -20,7 +21,14 @@ __all__ = [
     "matrix_height",
     "row_hnf",
     "integer_kernel",
+    "HNF_WORK_BITS",
 ]
+
+# row_hnf charges each row update the row width times the bit lengths of its
+# quotient and of the pivot row's largest entry, and stops past this total.
+# The relation lattice of 100 rationals over six primes charges 4.6·10^8;
+# on 400 of them the budget trips after about two seconds.
+HNF_WORK_BITS = 2 * 10**9
 
 
 class QMatrix:
@@ -240,12 +248,23 @@ def row_hnf(rows):
 
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot), and the row space (as a lattice) is unchanged: only
-    unimodular row operations are used.
+    unimodular row operations are used.  Raises ResourceLimit when the row
+    updates charge more than HNF_WORK_BITS.
     """
     m = [list(r) for r in rows]
     if not m:
         return []
     ncols = len(m[0])
+    work = 0
+
+    def subtract(i, q):
+        """m[i] -= q * m[r], charged against the work budget."""
+        nonlocal work
+        work += ncols * (q.bit_length() + pivot_bits)
+        if work > HNF_WORK_BITS:
+            raise ResourceLimit(f"Hermite normal form exceeded its work budget of {HNF_WORK_BITS} bits")
+        m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+
     r = 0
     for c in range(ncols):
         # chase the column to a single nonzero at row r via gcd steps
@@ -255,11 +274,11 @@ def row_hnf(rows):
                 break
             best = min(live, key=lambda i: (abs(m[i][c]), i))
             m[r], m[best] = m[best], m[r]
+            pivot_bits = max(a.bit_length() for a in m[r])
             done = True
             for i in range(r + 1, len(m)):
                 if m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    subtract(i, m[i][c] // m[r][c])
                     if m[i][c]:
                         done = False
             if done:
@@ -267,10 +286,11 @@ def row_hnf(rows):
         if r < len(m) and m[r][c]:
             if m[r][c] < 0:
                 m[r] = [-a for a in m[r]]
+            pivot_bits = max(a.bit_length() for a in m[r])
             for i in range(r):
                 q = m[i][c] // m[r][c]
                 if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    subtract(i, q)
             r += 1
             if r == len(m):
                 break

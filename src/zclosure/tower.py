@@ -4,8 +4,11 @@ A TowerNumber is an exact positive real: either a rational, or a symbolic
 power / factorial / product / sum over other TowerNumbers.  Nodes collapse
 to exact rationals whenever the result stays below DEFAULT_EXACT_BITS
 bits.  Comparisons first try exact values and structural monotone
-reduction (shared subtrees cancel), then fall back to rational interval
-bounds of iterated base-2 logarithms at a stored precision.
+reduction (shared subtrees cancel), then decide once on rational interval
+bounds of iterated base-2 logarithms at COMPARE_BITS bits; a pair those
+intervals do not separate stays undecided.  Tower numbers have no order
+or arithmetic operators: tower_cmp reads 0 for an undecided pair, so an
+order built on it would not be one.
 
 The module also provides exact rational upper/lower bounds for ln and log2
 of rationals, used by the Masser-style formulas.
@@ -32,9 +35,12 @@ __all__ = [
     "ln_bounds",
     "log2_bounds",
     "DEFAULT_EXACT_BITS",
+    "COMPARE_BITS",
 ]
 
 DEFAULT_EXACT_BITS = 10**6
+# precision of the leveled log intervals that decide tower comparisons
+COMPARE_BITS = 128
 
 _F = Fraction  # interval endpoints stay in Fraction for exactness bookkeeping
 
@@ -185,18 +191,6 @@ class TowerNumber:
     def __hash__(self):
         return hash(self.key())
 
-    def __mul__(self, other):
-        return tower_mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return tower_mul(_coerce(other), self)
-
-    def __add__(self, other):
-        return tower_add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return tower_add(_coerce(other), self)
-
     def __repr__(self):
         return f"TowerNumber({self.pretty()})"
 
@@ -240,20 +234,6 @@ def tower_exact(v):
     return TowerNumber("exact", value=v)
 
 
-def _frac_bits(v: Fraction) -> int:
-    return max(v.numerator.bit_length(), v.denominator.bit_length())
-
-
-def _pow_bits_estimate(base: Fraction, exp: Fraction):
-    """Upper estimate of the bit length of base**exp; None when unbounded."""
-    if exp.denominator != 1:
-        return None
-    e = exp.numerator
-    if e < 0:
-        return None
-    return e * max(1, _frac_bits(base)) + 1
-
-
 def tower_pow(base, exp):
     base, exp = _coerce(base), _coerce(exp)
     if exp.is_exact and exp.value == 0:
@@ -263,9 +243,10 @@ def tower_pow(base, exp):
     if base.is_exact and base.value == 1:
         return tower_exact(1)
     if base.is_exact and exp.is_exact and exp.value.denominator == 1:
-        est = _pow_bits_estimate(base.value, exp.value)
-        if est is not None and est <= DEFAULT_EXACT_BITS:
-            return tower_exact(base.value ** int(exp.value))
+        b, e = base.value, exp.value.numerator
+        # e times the bit length of b bounds the bit length of b^e
+        if e * max(1, b.numerator.bit_length(), b.denominator.bit_length()) < DEFAULT_EXACT_BITS:
+            return tower_exact(b**e)
     return TowerNumber("pow", base=base, exp=exp)
 
 
@@ -321,10 +302,10 @@ def tower_add(*xs):
     return TowerNumber("add", const=const, terms=tuple(terms))
 
 
-def tower_max(a, b, bits=128):
+def tower_max(a, b):
     """The larger of a and b; their sum, a sound upper bound, when the
-    comparison is undecided at this precision."""
-    c = tower_cmp(a, b, bits)
+    comparison is undecided."""
+    c = tower_cmp(a, b)
     if c == 0 and _coerce(a).key() != _coerce(b).key():
         return tower_add(a, b)
     return a if c >= 0 else b
@@ -337,69 +318,56 @@ _FIT_CAP = Fraction(2) ** 256
 _NEG_SENTINEL = -(Fraction(2) ** 300)
 
 
-def tower_cmp(a, b, bits: int = 128) -> int:
-    """-1, 0, or 1; 0 means equal or indistinguishable at this precision."""
-    c = _cmp(a, b, bits)
+def tower_cmp(a, b) -> int:
+    """-1, 0, or 1; 0 means equal or undecided at COMPARE_BITS bits."""
+    c = _cmp(a, b)
     return 0 if c is None else c
 
 
-def _cmp(a, b, bits):
-    """-1, 0 or 1 when decided; None when undecided at this precision."""
+def _cmp(a, b):
+    """-1, 0 or 1 when decided; None when undecided."""
     a, b = _coerce(a), _coerce(b)
     if a.key() == b.key():
         return 0
     if a.is_exact and b.is_exact:
         return -1 if a.value < b.value else (1 if a.value > b.value else 0)
-    structural = _cmp_structural(a, b, bits)
+    structural = _cmp_structural(a, b)
     if structural is not None:
         return structural
-    for attempt_bits in (bits, 2 * bits, 4 * bits):
-        decided = _cmp_intervals(a, b, attempt_bits)
-        if decided is not None:
-            return decided
-    return None
+    return _cmp_intervals(a, b)
 
 
-def _cmp_structural(a, b, bits):
+def _cmp_structural(a, b):
     # identical operation with one shared operand: descend monotonically
     if a.kind == "pow" and b.kind == "pow":
-        if a.base.key() == b.base.key() and _definitely_ge(a.base, 2, bits):
-            return _cmp(a.exp, b.exp, bits)
-        if a.exp.key() == b.exp.key() and _definitely_ge(a.exp, 1, bits):
-            return _cmp(a.base, b.base, bits)
+        if a.base.key() == b.base.key() and _definitely_ge(a.base, 2):
+            return _cmp(a.exp, b.exp)
+        if a.exp.key() == b.exp.key() and _definitely_ge(a.exp, 1):
+            return _cmp(a.base, b.base)
     if a.kind == "factorial" and b.kind == "factorial":
-        return _cmp(a.arg, b.arg, bits)
+        return _cmp(a.arg, b.arg)
     if a.kind == "mul" or b.kind == "mul":
         ca, fa = _mul_parts(a)
         cb, fb = _mul_parts(b)
-        shared = _multiset_intersection(fa, fb)
+        fa, fb, shared = _cancel_shared(fa, fb)
         if shared:
             # shared factors are positive, so they cancel from both sides
-            fa = _multiset_subtract(fa, shared)
-            fb = _multiset_subtract(fb, shared)
-            return _cmp(
-                tower_mul(tower_exact(ca), *fa),
-                tower_mul(tower_exact(cb), *fb),
-                bits,
-            )
+            return _cmp(tower_mul(tower_exact(ca), *fa), tower_mul(tower_exact(cb), *fb))
         if ca == cb and len(fa) == 1 and len(fb) == 1:
-            return _cmp(fa[0], fb[0], bits)
+            return _cmp(fa[0], fb[0])
     if a.kind == "add" or b.kind == "add":
         ca, ta = _add_parts(a)
         cb, tb = _add_parts(b)
-        shared = _multiset_intersection(ta, tb)
+        ta, tb, shared = _cancel_shared(ta, tb)
         if shared:
             # cancel shared terms; shift constants to keep both sides positive
-            ta = _multiset_subtract(ta, shared)
-            tb = _multiset_subtract(tb, shared)
             base = min(ca, cb) - 1
             return _cmp(
                 tower_add(tower_exact(ca - base), *ta),
                 tower_add(tower_exact(cb - base), *tb),
-                bits,
             )
         if ca == cb and len(ta) == 1 and len(tb) == 1:
-            return _cmp(ta[0], tb[0], bits)
+            return _cmp(ta[0], tb[0])
     return None
 
 
@@ -419,81 +387,71 @@ def _add_parts(t):
     return Fraction(0), [t]
 
 
-def _multiset_intersection(xs, ys):
-    out = []
-    remaining = list(ys)
+def _cancel_shared(xs, ys):
+    """xs and ys without the operands they share as multisets, and whether
+    they share any."""
+    rest_x, rest_y = [], list(ys)
     for x in xs:
-        for i, y in enumerate(remaining):
+        for i, y in enumerate(rest_y):
             if x.key() == y.key():
-                out.append(x)
-                del remaining[i]
+                del rest_y[i]
                 break
-    return out
+        else:
+            rest_x.append(x)
+    return rest_x, rest_y, len(rest_x) < len(xs)
 
 
-def _multiset_subtract(xs, shared):
-    out = list(xs)
-    for s in shared:
-        for i, x in enumerate(out):
-            if x.key() == s.key():
-                del out[i]
-                break
-    return out
-
-
-def _definitely_ge(t, threshold, bits):
-    lv = _lval(t, bits)
+def _definitely_ge(t, threshold):
+    lv = _lval(t)
     if lv is None:
         return False
     k, lo, hi = lv
     if k == 0:
         return lo >= threshold
-    return lo >= 1  # any value whose log tower is still >= 1 is huge
+    return lo >= 1  # the value is at least 2
 
 
 # leveled interval: (k, lo, hi) bounds log2^k(value); k = 0 bounds the value
 
 
-def _lval(t, bits):
+def _lval(t):
     try:
-        return _lval_inner(t, bits, depth=0)
+        return _lval_inner(t, depth=0)
     except (OverflowError, ValueError):
         return None
 
 
-def _lift(lv, bits):
+def _lift(lv):
     """Apply one more log2 to a leveled interval."""
     k, lo, hi = lv
     if lo <= 0:
-        return (k + 1, _NEG_SENTINEL, log2_bounds(hi, bits)[1] if hi > 0 else _NEG_SENTINEL)
-    return (k + 1, log2_bounds(lo, bits)[0], log2_bounds(hi, bits)[1])
+        return (k + 1, _NEG_SENTINEL, log2_bounds(hi, COMPARE_BITS)[1] if hi > 0 else _NEG_SENTINEL)
+    return (k + 1, log2_bounds(lo, COMPARE_BITS)[0], log2_bounds(hi, COMPARE_BITS)[1])
 
 
-def _normalize(lv, bits):
+def _normalize(lv):
     k, lo, hi = lv
     while hi > _FIT_CAP:
-        k, lo, hi = _lift((k, lo, hi), bits)
-    return (k, _round_down(lo, bits) if lo > _NEG_SENTINEL else lo, _round_up(hi, bits))
+        k, lo, hi = _lift((k, lo, hi))
+    return (k, _round_down(lo, COMPARE_BITS) if lo > _NEG_SENTINEL else lo, _round_up(hi, COMPARE_BITS))
 
 
-def _lval_inner(t, bits, depth):
+def _lval_inner(t, depth):
     if depth > 12:
         raise ValueError("tower too deep for interval comparison")
     if t.is_exact:
-        return _normalize((0, _frac_of(t.value), _frac_of(t.value)), bits)
+        return _normalize((0, _frac_of(t.value), _frac_of(t.value)))
     if t.kind == "pow":
-        lb = _lval_inner(t.base, bits, depth + 1)
-        le = _lval_inner(t.exp, bits, depth + 1)
+        lb = _lval_inner(t.base, depth + 1)
+        le = _lval_inner(t.exp, depth + 1)
         # log2(b^e) = e * log2(b)
-        log_b = _log_of_lval(lb, bits)
-        prod = _lval_mul(le, log_b, bits, depth)
-        return _shift_up(prod, bits)
+        return _shift_up(_lval_mul(le, _log_of_lval(lb)))
     if t.kind == "factorial":
-        la = _lval_inner(t.arg, bits, depth + 1)
-        log_a = _log_of_lval(la, bits)
+        la = _lval_inner(t.arg, depth + 1)
+        log_a = _log_of_lval(la)
         # (n/e)^n <= n! <= n^n: log2(n!) in [n (log2 n - log2 e), n log2 n]
         if log_a[0] == 0:
-            ln2_lo, ln2_hi = _ln2_bounds(bits)
+            ln2_lo, ln2_hi = _ln2_bounds(COMPARE_BITS)
             log2e_hi = 1 / ln2_lo
             low_mult = (0, log_a[1] - log2e_hi, log_a[2] - log2e_hi)
             if low_mult[1] <= 0:
@@ -502,68 +460,61 @@ def _lval_inner(t, bits, depth):
             # log2 n is astronomically large; log2^k(log2 n - 1.45) loses
             # at most 1 at the first level and less further up
             low_mult = (log_a[0], log_a[1] - 1, log_a[2])
-        low = _lval_mul(la, low_mult, bits, depth)
-        high = _lval_mul(la, log_a, bits, depth)
-        merged = _merge_lo_hi(low, high, bits)
-        return _shift_up(merged, bits)
+        low, high = _common_level(_lval_mul(la, low_mult), _lval_mul(la, log_a))
+        return _shift_up((low[0], low[1], high[2]))
     if t.kind == "mul":
-        parts = [_log_of_lval(_lval_inner(f, bits, depth + 1), bits) for f in t.factors]
+        parts = [_log_of_lval(_lval_inner(f, depth + 1)) for f in t.factors]
         if t.coeff != 1:
-            c = log2_bounds(t.coeff, bits)
+            c = log2_bounds(t.coeff, COMPARE_BITS)
             parts.append((0, c[0], c[1]))
         total = parts[0]
         for p in parts[1:]:
-            total = _lval_add(total, p, bits)
-        return _shift_up(total, bits)
+            total = _lval_add(total, p)
+        return _shift_up(total)
     # add
-    parts = [_lval_inner(x, bits, depth + 1) for x in t.terms]
+    parts = [_lval_inner(x, depth + 1) for x in t.terms]
     if t.const:
         parts.append((0, _frac_of(t.const), _frac_of(t.const)))
     total = parts[0]
     for p in parts[1:]:
-        total = _lval_add(total, p, bits)
+        total = _lval_add(total, p)
     return total
 
 
-def _log_of_lval(lv, bits):
+def _log_of_lval(lv):
     """Leveled interval of log2(x) given one of x."""
     k, lo, hi = lv
     if k >= 1:
         return (k - 1, lo, hi)
     if lo <= 0:
         raise ValueError("log of a non-positive interval")
-    return _normalize((0, log2_bounds(lo, bits)[0], log2_bounds(hi, bits)[1]), bits)
+    return _normalize((0, log2_bounds(lo, COMPARE_BITS)[0], log2_bounds(hi, COMPARE_BITS)[1]))
 
 
-def _shift_up(lv, bits):
+def _shift_up(lv):
     """x -> 2^x at the level bookkeeping: bounds of log2^k(v) become level k+1."""
     k, lo, hi = lv
-    if k == 0 and hi <= 256:
-        # small exponent: materialize 2^interval at level 0
-        return _normalize(
-            (0, Fraction(2) ** math.floor(lo), Fraction(2) ** math.ceil(hi)), bits
-        )
     return (k + 1, lo, hi)
 
 
-def _common_level(u, v, bits):
+def _common_level(u, v):
     while u[0] < v[0]:
-        u = _lift(u, bits)
+        u = _lift(u)
     while v[0] < u[0]:
-        v = _lift(v, bits)
+        v = _lift(v)
     return u, v
 
 
-def _lval_add(u, v, bits):
+def _lval_add(u, v):
     """Sum of two leveled intervals interpreted as plain values."""
-    u, v = _common_level(u, v, bits)
+    u, v = _common_level(u, v)
     k = u[0]
     if k == 0:
-        return _normalize((0, u[1] + v[1], u[2] + v[2]), bits)
+        return _normalize((0, u[1] + v[1], u[2] + v[2]))
     big, small = (u, v) if u[1] >= v[1] else (v, u)
     lo = big[1]
     if lo >= 0 and small[2] <= lo - 1:
-        return (k, lo, big[2] + _dominated_margin(k, lo, lo - small[2], bits))
+        return (k, lo, big[2] + _dominated_margin(k, lo, lo - small[2]))
     return (k, lo, max(u[2], v[2]) + 1)
 
 
@@ -571,16 +522,17 @@ def _lval_add(u, v, bits):
 _LOG2_INV_LN2 = Fraction(17, 32)
 
 
-def _dominated_margin(k, lo, gap, bits):
-    """A power of two in [2^-bits, 1] bounding log2^k(x + y) - log2^k(x), given
-    0 <= lo <= X_k and X_k - Y_k >= gap >= 1 (X_j = log2^j x, Y_j = log2^j y).
+def _dominated_margin(k, lo, gap):
+    """A power of two in [2^-COMPARE_BITS, 1] bounding log2^k(x + y) - log2^k(x),
+    given 0 <= lo <= X_k and X_k - Y_k >= gap >= 1 (X_j = log2^j x,
+    Y_j = log2^j y).
 
     The growth is at most min(1, 2^-(X_1 - Y_1) / ln 2) at level 1, and
     log2(a + d) <= log2 a + d / (a ln 2) divides it by X_j ln 2 per level.
     X_j = 2^X_{j+1} and X_j - Y_j = X_j (1 - 2^-(X_{j+1} - Y_{j+1})) carry
     lower bounds down from level k, rounded down and capped.
     """
-    cap = bits + 8
+    cap = COMPARE_BITS + 8
     x, g = min(lo, cap), min(gap, cap)
     log_margin = 0
     for _ in range(k - 1):
@@ -588,30 +540,23 @@ def _dominated_margin(k, lo, gap, bits):
         x = min(Fraction(2) ** math.floor(x), cap)
         g = min(x * (1 - Fraction(1, 1 << math.floor(g))), cap)
     log_margin += min(0, _LOG2_INV_LN2 - g)
-    return Fraction(2) ** max(min(math.ceil(log_margin), 0), -bits)
+    return Fraction(2) ** max(min(math.ceil(log_margin), 0), -COMPARE_BITS)
 
 
-def _lval_mul(u, v, bits, depth):
+def _lval_mul(u, v):
     """Product of two leveled intervals interpreted as plain values."""
     if u[0] == 0 and v[0] == 0:
         cands = [u[1] * v[1], u[1] * v[2], u[2] * v[1], u[2] * v[2]]
-        return _normalize((0, min(cands), max(cands)), bits)
-    lu = _log_of_lval(u, bits)
-    lv = _log_of_lval(v, bits)
-    return _shift_up(_lval_add(lu, lv, bits), bits)
+        return _normalize((0, min(cands), max(cands)))
+    return _shift_up(_lval_add(_log_of_lval(u), _log_of_lval(v)))
 
 
-def _merge_lo_hi(low, high, bits):
-    low2, high2 = _common_level(low, high, bits)
-    return (low2[0], low2[1], high2[2])
-
-
-def _cmp_intervals(a, b, bits):
-    la = _lval(a, bits)
-    lb = _lval(b, bits)
+def _cmp_intervals(a, b):
+    la = _lval(a)
+    lb = _lval(b)
     if la is None or lb is None:
         return None
-    la, lb = _common_level(la, lb, bits)
+    la, lb = _common_level(la, lb)
     if la[2] < lb[1]:
         return -1
     if lb[2] < la[1]:

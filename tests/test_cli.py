@@ -1,7 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
+import random
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -395,6 +398,47 @@ class TestRelationsCommand:
         assert code == 3
         assert "budget of 10000 candidates" in err
         assert time.perf_counter() - start < 1
+
+
+    def test_hundred_prime_power_values_fit_the_hnf_budget(self, capsys):
+        values, exponents = _prime_power_values(100)
+        code, out, err = run(capsys, "relations", "--eigenvalues", json.dumps(values))
+        assert code == 0, err
+        # the text output of the unbudgeted Hermite normal form
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "71b7eef274c2db4e9840d8e4f3ffd6a797e5d41bdec098af4cb9776673dc1b86"
+        )
+        payload = run_json(capsys, "relations", "--eigenvalues", json.dumps(values))
+        # 6 prime rows of rank 6 leave 94 relations; each row's exponents
+        # cancel at every prime (all values are positive)
+        assert len(payload["basis"]) == 94
+        for row in payload["basis"]:
+            assert all(sum(k * r[p] for k, r in zip(row, exponents)) == 0 for p in range(6))
+
+    def test_growing_hnf_entries_hit_the_work_budget(self, capsys):
+        # 400 values, 56 KB of JSON: unbudgeted, the kernel's Hermite normal
+        # form ran for more than ten minutes on growing intermediate entries
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "relations", "--eigenvalues", json.dumps(_prime_power_values(400)[0])
+        )
+        assert code == 3, err
+        assert "Hermite normal form exceeded its work budget" in err
+        assert time.perf_counter() - start < 5
+
+
+def _prime_power_values(count):
+    """count rationals prod p^r over the primes up to 13, r in [-60, 60],
+    and their exponent lists."""
+    rng = random.Random(1)
+    exponents = [[rng.randint(-60, 60) for _ in range(6)] for _ in range(count)]
+    values = []
+    for r in exponents:
+        q = Fraction(1)
+        for p, e in zip((2, 3, 5, 7, 11, 13), r):
+            q *= Fraction(p) ** e
+        values.append(str(q))
+    return values, exponents
 
 
 class TestUnipotentClosureCommand:

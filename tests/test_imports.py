@@ -1,6 +1,7 @@
 """Every import in the engine's modules is used or re-exported, every
-module-level private name is read somewhere in the engine, and every
-__all__ entry names an attribute of its module."""
+module-level private name is read somewhere in the engine, every __all__
+entry names an attribute of its module, and the README's table of
+constants lists every public integer constant of the engine."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "zclosure"
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(source):
@@ -166,3 +168,38 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def public_int_constants():
+    """(module, name) of every module-level public int the engine assigns."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"zclosure.{path.stem}")
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                        value = getattr(module, target.id)
+                        if isinstance(value, int) and not isinstance(value, bool):
+                            out.append((path.stem, target.id))
+    return out
+
+
+def readme_constant_rows():
+    """{(module, name)} named by the rows of the README's constants table,
+    whose first two cells list the constants and their module."""
+    rows = set()
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) >= 3 and cells[0].startswith("`") and cells[1].startswith("`"):
+            module = cells[1].strip("`")
+            rows.update((module, name.strip(" `")) for name in cells[0].split(","))
+    return rows
+
+
+def test_readme_lists_every_int_constant():
+    constants = public_int_constants()
+    assert ("tower", "DEFAULT_EXACT_BITS") in constants
+    assert [c for c in constants if c not in readme_constant_rows()] == []

@@ -134,6 +134,16 @@ class TestTowerSerialization:
         assert back == t
         assert tower_cmp(back, t) == 0
 
+    def test_decodes_to_canonical_node(self):
+        from zclosure.tower import tower_exact, tower_fact
+
+        f = tower_fact(10**9)
+        one_factor = {"kind": "mul", "coeff": "1", "factors": [tower_to_json(f)]}
+        assert tower_from_json(one_factor) == f
+        exact_pow = {"kind": "pow", "base": tower_to_json(tower_exact(2)),
+                     "exp": tower_to_json(tower_exact(3))}
+        assert tower_from_json(exact_pow) == tower_exact(8)
+
     def test_bound_report_round_trip(self):
         for report in (closure_degree_bound(1, 2, 1), chain_bounds(2)):
             obj = bound_report_to_json(report)

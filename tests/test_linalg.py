@@ -7,7 +7,8 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from zclosure.closure import GeneratorSet, lifted_span, monomial_basis
-from zclosure.errors import SingularMatrix
+from zclosure import linalg
+from zclosure.errors import ResourceLimit, SingularMatrix
 from zclosure.linalg import (
     QMatrix,
     EchelonBasis,
@@ -189,6 +190,14 @@ class TestIntegerKernel:
             # rank-nullity over Q bounds the basis size
             q = QMatrix(3, 5, [rat(e) for row in m for e in row])
             assert len(k) == 5 - q.rank()
+
+    def test_work_budget(self, monkeypatch):
+        # the first row update, [3, 0, 1] minus 1 times the pivot row
+        # [2, 1, 0], is charged 3 * (1 + 2) = 9 bits
+        assert integer_kernel([[2, 3]]) == [[3, -2]]
+        monkeypatch.setattr(linalg, "HNF_WORK_BITS", 8)
+        with pytest.raises(ResourceLimit, match="work budget of 8 bits"):
+            integer_kernel([[2, 3]])
 
 
 class TestEchelonBasis:

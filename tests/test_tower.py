@@ -111,6 +111,13 @@ class TestConstruction:
         assert tower_mul(a, b) == tower_mul(b, a)
 
 
+def _undecided_pair():
+    """2^(2E) and 3 * 2^E * 2^E for E = (10^9)!, which no interval
+    precision separates."""
+    e = tower_fact(10**9)
+    return tower_pow(2, tower_mul(2, e)), tower_mul(3, tower_pow(2, e), tower_pow(2, e))
+
+
 class TestComparison:
     def test_exact_consistency_randomized(self):
         rng = random.Random(33)
@@ -150,21 +157,39 @@ class TestComparison:
         assert tower_max(a, b) == b
 
     def test_max_undecided_is_upper_bound(self):
-        # 2^(2E) < 3 * 2^E * 2^E, but no interval precision separates them;
-        # at 32 bits each undecided comparison costs milliseconds, not seconds
-        e = tower_fact(10**9)
-        a = tower_pow(2, tower_mul(2, e))
-        b = tower_mul(3, tower_pow(2, e), tower_pow(2, e))
-        assert tower_cmp(a, b, bits=32) == 0
-        assert tower_max(a, b, bits=32) == tower_add(a, b)
-        assert tower_max(b, a, bits=32) == tower_add(a, b)
+        # 2^(2E) < 3 * 2^E * 2^E, but no interval precision separates them
+        a, b = _undecided_pair()
+        assert tower_cmp(a, b) == 0
+        assert tower_max(a, b) == tower_add(a, b)
+        assert tower_max(b, a) == tower_add(a, b)
+
+    def test_one_interval_attempt(self, monkeypatch):
+        # an undecided pair is tried once at COMPARE_BITS, not again at
+        # higher precision
+        calls = []
+        inner = tower._cmp_intervals
+
+        def counted(a, b):
+            calls.append((a, b))
+            return inner(a, b)
+
+        monkeypatch.setattr(tower, "_cmp_intervals", counted)
+        assert tower_cmp(*_undecided_pair()) == 0
+        assert len(calls) == 1
+
+    def test_fractional_powers_stay_level_one(self):
+        # 2^(1/2) is bounded by log2 of it, 1/2, not by an interval
+        # rounded out to integer powers of two
+        root2 = tower_pow(2, Fraction(1, 2))
+        assert root2.kind == "pow"
+        got = [tower_cmp(root2, tower_exact(q)) for q in (1, Fraction(7, 5), Fraction(3, 2), 2)]
+        assert got == [1, 1, -1, -1]
+        assert tower_cmp(tower_pow(3, Fraction(1, 2)), root2) == 1
 
     def test_no_order_operators(self):
         # tower_cmp reports an undecided pair as 0, so an order operator built
-        # on it would call a <= b and a >= b both true on the pair above
-        e = tower_fact(10**9)
-        a = tower_pow(2, tower_mul(2, e))
-        b = tower_mul(3, tower_pow(2, e), tower_pow(2, e))
+        # on it would call a <= b and a >= b both true on the undecided pair
+        a, b = _undecided_pair()
         with pytest.raises(TypeError):
             a <= b
 
@@ -197,10 +222,10 @@ def _iterated_log2_enclosure(value: Fraction, k: int, prec: int):
     return lo, hi
 
 
-def _leveled(value: Fraction, k: int, bits: int):
-    lv = _normalize((0, value, value), bits)
+def _leveled(value: Fraction, k: int):
+    lv = _normalize((0, value, value))
     while lv[0] < k:
-        lv = _lift(lv, bits)
+        lv = _lift(lv)
     return lv
 
 
@@ -223,7 +248,6 @@ class TestLeveledSum:
     def test_encloses_iterated_log_of_sum(self, case):
         # log2^3(2^16 + 16) = 2 + 2^-16.4: a fixed 2^-20 margin is too small
         x, y, k = case
-        bits = 128
-        level, lo, hi = _lval_add(_leveled(x, k, bits), _leveled(y, k, bits), bits)
-        true_lo, true_hi = _iterated_log2_enclosure(x + y, level, 2 * bits + 64)
+        level, lo, hi = _lval_add(_leveled(x, k), _leveled(y, k))
+        true_lo, true_hi = _iterated_log2_enclosure(x + y, level, 2 * tower.COMPARE_BITS + 64)
         assert lo <= true_hi and true_lo <= hi
