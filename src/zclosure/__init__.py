@@ -18,7 +18,7 @@ from .errors import (
     NoStabilization,
 )
 from ._rat import rat, height
-from .linalg import QMatrix, matrix_height, integer_kernel
+from .linalg import QMatrix, integer_kernel
 from .poly import Poly, Ideal, groebner, eliminate, ideal_member, ideal_equal
 from .structure import jordan_chevalley, nilpotent_log, one_parameter
 from .relations import rational_relation_lattice, lattice_to_binomial_ideal
@@ -46,7 +46,6 @@ __all__ = [
     "rat",
     "height",
     "QMatrix",
-    "matrix_height",
     "integer_kernel",
     "Poly",
     "Ideal",

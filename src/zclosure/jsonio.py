@@ -6,7 +6,6 @@ nested nodes.  Text renderings of polynomials are round-trippable.
 """
 
 import json
-import re
 from fractions import Fraction
 
 from .affine import AffineProgram
@@ -14,7 +13,7 @@ from .bounds import BoundReport
 from .closure import GeneratorSet
 from .linalg import QMatrix
 from .poly import GREVLEX, Ideal, Poly
-from .tower import TowerNumber, tower_add, tower_exact, tower_fact, tower_mul, tower_pow
+from .tower import TowerNumber
 from ._rat import rat
 
 __all__ = [
@@ -22,21 +21,14 @@ __all__ = [
     "rat_from_str",
     "matrix_to_json",
     "matrix_from_json",
-    "generators_to_json",
     "generators_from_json",
     "gl_variable_names",
     "poly_to_json",
-    "poly_from_json",
     "ideal_to_json",
-    "ideal_from_json",
     "poly_to_text",
-    "poly_from_text",
     "tower_to_json",
-    "tower_from_json",
     "bound_report_to_json",
-    "bound_report_from_json",
     "affine_program_from_json",
-    "affine_program_to_json",
     "SCHEMAS",
 ]
 
@@ -67,10 +59,6 @@ def matrix_from_json(rows, field="matrix") -> QMatrix:
     if not rows or not rows[0]:
         raise ValueError(f"{field} needs at least one row and one column")
     return QMatrix.from_rows([[rat_from_str(e) for e in row] for row in rows])
-
-
-def generators_to_json(gens: GeneratorSet):
-    return {"n": gens.n, "generators": [matrix_to_json(g) for g in gens.gens]}
 
 
 def generators_from_json(obj) -> GeneratorSet:
@@ -105,12 +93,6 @@ def poly_to_json(p: Poly):
     ]
 
 
-def poly_from_json(terms, arity: int) -> Poly:
-    return Poly(
-        arity, {tuple(t["exps"]): rat_from_str(t["coeff"]) for t in terms}
-    )
-
-
 def ideal_to_json(ideal: Ideal, names=None):
     names = names or default_names(ideal.arity)
     return {
@@ -119,11 +101,6 @@ def ideal_to_json(ideal: Ideal, names=None):
         "generators": [poly_to_json(g) for g in ideal.generators],
         "text": [poly_to_text(g, names) for g in ideal.generators],
     }
-
-
-def ideal_from_json(obj) -> Ideal:
-    arity = obj["arity"]
-    return Ideal(arity, [poly_from_json(t, arity) for t in obj["generators"]])
 
 
 def poly_to_text(p: Poly, names) -> str:
@@ -149,102 +126,47 @@ def poly_to_text(p: Poly, names) -> str:
     return " ".join(bits)
 
 
-_TERM_RE = re.compile(r"^(?P<coeff>-?\d+(?:/\d+)?)?(?:\*?(?P<body>[A-Za-z]\w*(?:\^\d+)?(?:\*[A-Za-z]\w*(?:\^\d+)?)*))?$")
-
-
-def poly_from_text(text: str, names) -> Poly:
-    index = {name: i for i, name in enumerate(names)}
-    arity = len(names)
-    text = text.strip()
-    if text == "0":
-        return Poly.zero(arity)
-    # normalize into signed terms
-    text = text.replace("- ", "+ -").replace("+ ", "+ ")
-    chunks = [c.strip() for c in text.split("+") if c.strip()]
-    terms = {}
-    for chunk in chunks:
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:].strip()
-        m = _TERM_RE.match(chunk.replace(" ", ""))
-        if not m or (m.group("coeff") is None and m.group("body") is None):
-            raise ValueError(f"cannot parse term {chunk!r}")
-        coeff = rat(m.group("coeff")) if m.group("coeff") else rat(1)
-        if neg:
-            coeff = -coeff
-        mono = [0] * arity
-        body = m.group("body")
-        if body:
-            for factor in body.split("*"):
-                if "^" in factor:
-                    name, exp = factor.split("^")
-                    mono[index[name]] += int(exp)
-                else:
-                    mono[index[factor]] += 1
-        key = tuple(mono)
-        terms[key] = terms.get(key, rat(0)) + coeff
-    return Poly(arity, terms)
-
-
-def tower_to_json(t: TowerNumber):
+def tower_to_json(t: TowerNumber, memo=None):
+    """The node record of t.  memo maps id(node) to its record, so a subtree
+    shared within one report is rendered once."""
+    memo = {} if memo is None else memo
+    rec = memo.get(id(t))
+    if rec is not None:
+        return rec
     if t.kind == "exact":
-        return {"kind": "exact", "value": str(Fraction(t.value))}
-    if t.kind == "pow":
-        return {"kind": "pow", "base": tower_to_json(t.base), "exp": tower_to_json(t.exp)}
-    if t.kind == "factorial":
-        return {"kind": "factorial", "arg": tower_to_json(t.arg)}
-    if t.kind == "mul":
-        return {
+        rec = {"kind": "exact", "value": str(Fraction(t.value))}
+    elif t.kind == "pow":
+        rec = {"kind": "pow", "base": tower_to_json(t.base, memo), "exp": tower_to_json(t.exp, memo)}
+    elif t.kind == "factorial":
+        rec = {"kind": "factorial", "arg": tower_to_json(t.arg, memo)}
+    elif t.kind == "mul":
+        rec = {
             "kind": "mul",
             "coeff": str(t.coeff),
-            "factors": [tower_to_json(f) for f in t.factors],
+            "factors": [tower_to_json(f, memo) for f in t.factors],
         }
-    return {
-        "kind": "add",
-        "const": str(t.const),
-        "terms": [tower_to_json(x) for x in t.terms],
-    }
-
-
-def tower_from_json(obj) -> TowerNumber:
-    """The tower of a node record, built by the tower constructors: the
-    result is canonical, and exact parts collapse."""
-    kind = obj["kind"]
-    if kind == "exact":
-        return tower_exact(Fraction(obj["value"]))
-    if kind == "pow":
-        return tower_pow(tower_from_json(obj["base"]), tower_from_json(obj["exp"]))
-    if kind == "factorial":
-        return tower_fact(tower_from_json(obj["arg"]))
-    if kind == "mul":
-        return tower_mul(Fraction(obj["coeff"]), *map(tower_from_json, obj["factors"]))
-    if kind == "add":
-        return tower_add(Fraction(obj["const"]), *map(tower_from_json, obj["terms"]))
-    raise ValueError(f"unknown tower node kind {kind!r}")
+    else:
+        rec = {
+            "kind": "add",
+            "const": str(t.const),
+            "terms": [tower_to_json(x, memo) for x in t.terms],
+        }
+    memo[id(t)] = rec
+    return rec
 
 
 def bound_report_to_json(report: BoundReport):
-    bounds = {}
+    bounds, memo = {}, {}
     for name, value in report.bounds.items():
         if value.is_exact:
             bounds[name] = {"form": "exact", "value": str(Fraction(value.value))}
         else:
             bounds[name] = {
                 "form": "tower",
-                "expr": tower_to_json(value),
+                "expr": tower_to_json(value, memo),
                 "pretty": value.pretty(),
             }
     return {"params": dict(report.params), "bounds": bounds}
-
-
-def bound_report_from_json(obj) -> BoundReport:
-    bounds = {}
-    for name, rec in obj["bounds"].items():
-        if rec["form"] == "exact":
-            bounds[name] = tower_exact(Fraction(rec["value"]))
-        else:
-            bounds[name] = tower_from_json(rec["expr"])
-    return BoundReport(obj["params"], bounds)
 
 
 def affine_program_from_json(obj) -> AffineProgram:
@@ -264,16 +186,6 @@ def affine_program_from_json(obj) -> AffineProgram:
         b = [rat_from_str(x) for x in u["b"]]
         updates.append((a, b))
     return AffineProgram(obj["num_vars"], updates)
-
-
-def affine_program_to_json(program: AffineProgram):
-    return {
-        "num_vars": program.num_vars,
-        "updates": [
-            {"A": matrix_to_json(a), "b": [rat_to_str(x) for x in b]}
-            for a, b in program.updates
-        ],
-    }
 
 
 _RATIONAL_PATTERN = r"^-?\d+(/\d+)?$"

@@ -18,7 +18,6 @@ __all__ = [
     "QMatrix",
     "EchelonBasis",
     "height",
-    "matrix_height",
     "row_hnf",
     "integer_kernel",
     "HNF_WORK_BITS",
@@ -234,13 +233,6 @@ class QMatrix:
         deterministic; the count is cols - rank.
         """
         return [QMatrix.column(v) for v in self._echelon().kernel()]
-
-
-def matrix_height(m: QMatrix) -> int:
-    """Max entry height; 1 for an empty matrix."""
-    if not m.entries:
-        return 1
-    return max(height(e) for e in m.entries)
 
 
 def row_hnf(rows):

@@ -11,9 +11,15 @@ or arithmetic operators: tower_cmp reads 0 for an undecided pair, so an
 order built on it would not be one.
 
 The module also provides exact rational upper/lower bounds for ln and log2
-of rationals, used by the Masser-style formulas.
+of rationals, used by the Masser-style formulas and the comparisons.  They
+run on integer dyadic endpoints (integers scaled by 2^-p, as in Johansson
+2017, "Arb", IEEE TC 66(8)): the exponent and mantissa of q come from bit
+lengths and shifts, one atanh series runs in fixed point with at least 20
+guard bits below 2^-bits, and each endpoint is rounded outward to 2^-bits
+by a shift.
 """
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -43,55 +49,72 @@ DEFAULT_EXACT_BITS = 10**6
 COMPARE_BITS = 128
 
 _F = Fraction  # interval endpoints stay in Fraction for exactness bookkeeping
+# working bits below the requested precision; they absorb the series' error
+_GUARD_BITS = 20
 
 
-def _round_down(x: _F, bits: int) -> _F:
-    scale = 1 << bits
-    return _F(math.floor(x * scale), scale)
+def _round_down(x, bits: int) -> _F:
+    return _F((x.numerator << bits) // x.denominator, 1 << bits)
 
 
-def _round_up(x: _F, bits: int) -> _F:
-    scale = 1 << bits
-    return _F(math.ceil(x * scale), scale)
+def _round_up(x, bits: int) -> _F:
+    return _F(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
-def _atanh_bounds(u: _F, bits: int):
-    """Bounds of atanh(u) for 0 <= u < 1/2, by series with tail majorant."""
-    if u == 0:
-        return _F(0), _F(0)
-    u2 = u * u
-    term = u
-    total = _F(0)
-    k = 0
-    tol = _F(1, 1 << (bits + 4))
-    while True:
-        total += term / (2 * k + 1)
-        term *= u2
+def _atanh_fixed(num: int, den: int, p: int):
+    """(lo, hi) with lo <= 2^p atanh(num/den) <= hi, for 0 <= num/den <= 1/3.
+
+    With u = num/den, t runs over floor(2^p u^(2k+1)) one floor at a time,
+    so it is below the true term by at most k + 1; each summand t // (2k+1)
+    then loses at most 2, and once t = 0 the tail is at most 9/8 < 2
+    (u^2 <= 1/9).
+    """
+    t = (num << p) // den
+    num2, den2 = num * num, den * den
+    total = k = 0
+    while t:
+        total += t // (2 * k + 1)
+        t = t * num2 // den2
         k += 1
-        # tail <= term/(2k+1) * 1/(1 - u^2)
-        tail = term / ((2 * k + 1) * (1 - u2))
-        if tail < tol:
-            return total, total + tail
+    return total, total + 2 * k + 2
 
 
-_LN2_CACHE = {}
+@functools.cache
+def _ln2_fixed(p: int):
+    """(lo, hi) with lo <= 2^p ln 2 <= hi; ln 2 = 2 atanh(1/3)."""
+    lo, hi = _atanh_fixed(1, 3, p)
+    return 2 * lo, 2 * hi
+
+
+def _split_log2(q: _F):
+    """(e, a, b) with e = floor(log2 q) and q / 2^e = a / b in [1, 2)."""
+    a, b = q.numerator, q.denominator
+    e = a.bit_length() - b.bit_length()
+    a, b = (a, b << e) if e >= 0 else (a << -e, b)
+    if a < b:
+        return e - 1, a << 1, b
+    return e, a, b
+
+
+def _ln_mantissa(a: int, b: int, p: int):
+    """(lo, hi) with lo <= 2^p ln(a/b) <= hi, for 1 <= a/b < 2.
+
+    The series runs at m = floor(2^p a/b); ln(a/b) - ln(m/2^p) is at most
+    2^-p, since ln has slope at most 1 on [1, 2).
+    """
+    m, rest = divmod(a << p, b)
+    one = 1 << p
+    lo, hi = _atanh_fixed(m - one, m + one, p)
+    return 2 * lo, 2 * hi + (1 if rest else 0)
+
+
+def _dyadic(lo: int, hi: int, shift: int, bits: int):
+    """[lo, hi] at scale 2^-(bits + shift), rounded outward to 2^-bits."""
+    return _F(lo >> shift, 1 << bits), _F(-(-hi >> shift), 1 << bits)
 
 
 def _ln2_bounds(bits: int):
-    if bits not in _LN2_CACHE:
-        lo, hi = _atanh_bounds(_F(1, 3), bits + 4)
-        _LN2_CACHE[bits] = (2 * lo, 2 * hi)
-    return _LN2_CACHE[bits]
-
-
-def _floor_log2(q: _F) -> int:
-    """Largest e with 2^e <= q, for q > 0."""
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    if _F(2) ** e > q:
-        e -= 1
-    if _F(2) ** (e + 1) <= q:
-        e += 1
-    return e
+    return _dyadic(*_ln2_fixed(bits + _GUARD_BITS), _GUARD_BITS, bits)
 
 
 def ln_bounds(q, bits: int = 64):
@@ -101,21 +124,15 @@ def ln_bounds(q, bits: int = 64):
         raise ValueError("log of a non-positive value")
     if q == 1:
         return _F(0), _F(0)
-    e = _floor_log2(q)
-    m = q / _F(2) ** e  # in [1, 2)
-    # round the mantissa to dyadic precision before the series
-    m_lo = _round_down(m, bits + 8)
-    m_hi = _round_up(m, bits + 8)
-    a_lo, _ = _atanh_bounds((m_lo - 1) / (m_lo + 1), bits)
-    _, a_hi = _atanh_bounds((m_hi - 1) / (m_hi + 1), bits)
-    ln2_lo, ln2_hi = _ln2_bounds(bits)
-    if e >= 0:
-        lo = e * ln2_lo + 2 * a_lo
-        hi = e * ln2_hi + 2 * a_hi
-    else:
-        lo = e * ln2_hi + 2 * a_lo
-        hi = e * ln2_lo + 2 * a_hi
-    return _round_down(lo, bits), _round_up(hi, bits)
+    e, a, b = _split_log2(q)
+    # e ln 2 multiplies the error of ln 2 by |e|: carry its bits as guard
+    shift = _GUARD_BITS + abs(e).bit_length()
+    p = bits + shift
+    m_lo, m_hi = _ln_mantissa(a, b, p)
+    ln2_lo, ln2_hi = _ln2_fixed(p)
+    if e < 0:
+        ln2_lo, ln2_hi = ln2_hi, ln2_lo
+    return _dyadic(e * ln2_lo + m_lo, e * ln2_hi + m_hi, shift, bits)
 
 
 def log2_bounds(q, bits: int = 64):
@@ -123,14 +140,16 @@ def log2_bounds(q, bits: int = 64):
     q = _frac_of(q)
     if q <= 0:
         raise ValueError("log of a non-positive value")
-    e = _floor_log2(q)
-    if _F(2) ** e == q:
+    e, a, b = _split_log2(q)
+    if a == b:
         return _F(e), _F(e)
-    lo, hi = ln_bounds(q, bits + 8)
-    ln2_lo, ln2_hi = _ln2_bounds(bits + 8)
-    # q > 0, q != power of 2; sign of ln(q) decides which endpoints pair up
-    cands = [lo / ln2_lo, lo / ln2_hi, hi / ln2_lo, hi / ln2_hi]
-    return _round_down(min(cands), bits), _round_up(max(cands), bits)
+    p = bits + _GUARD_BITS
+    m_lo, m_hi = _ln_mantissa(a, b, p)
+    ln2_lo, ln2_hi = _ln2_fixed(p)
+    # log2 of the mantissa is ln m / ln 2 in [0, 1): divide outward
+    lo = (e << p) + (m_lo << p) // ln2_hi
+    hi = (e << p) - (-(m_hi << p) // ln2_lo)
+    return _dyadic(lo, hi, _GUARD_BITS, bits)
 
 
 def _frac_of(x):

@@ -4,14 +4,22 @@ None of these is engine code: each recomputes what the engine computes
 another way (power products instead of the engine's integer lift, a dense
 lift operator, a substitution by the inverse matrix, interpolation on the
 enumerated elements of a finite group), or drives the engine's answers from
-outside (random words, random program runs).
+outside (random words, random program runs).  The wire-format readers and
+writers at the end serve only the tests: the CLI reads rationals, matrices,
+generator sets and affine programs, never polynomials, towers or reports.
 """
 
+import re
+from fractions import Fraction
+
+from zclosure.bounds import BoundReport
 from zclosure.closure import gl_embed, monomial_basis
+from zclosure.jsonio import matrix_to_json, rat_from_str, rat_to_str
 from zclosure.linalg import QMatrix
 from zclosure.poly import GREVLEX, Ideal, Poly
 from zclosure.structure import PolyMatrix
-from zclosure._rat import ONE, ZERO, rat
+from zclosure.tower import tower_add, tower_exact, tower_fact, tower_mul, tower_pow
+from zclosure._rat import ONE, ZERO, height, rat
 
 
 def monomial_lift(coords, d):
@@ -179,3 +187,100 @@ def buchberger_moller(points):
         for i in range(m):
             candidates.add(t[:i] + (t[i] + 1,) + t[i + 1 :])
     return basis, standard
+
+
+def matrix_height(m: QMatrix) -> int:
+    """Max entry height; 1 for an empty matrix."""
+    if not m.entries:
+        return 1
+    return max(height(e) for e in m.entries)
+
+
+def generators_to_json(gens):
+    return {"n": gens.n, "generators": [matrix_to_json(g) for g in gens.gens]}
+
+
+def poly_from_json(terms, arity: int) -> Poly:
+    return Poly(
+        arity, {tuple(t["exps"]): rat_from_str(t["coeff"]) for t in terms}
+    )
+
+
+def ideal_from_json(obj) -> Ideal:
+    arity = obj["arity"]
+    return Ideal(arity, [poly_from_json(t, arity) for t in obj["generators"]])
+
+
+_TERM_RE = re.compile(r"^(?P<coeff>-?\d+(?:/\d+)?)?(?:\*?(?P<body>[A-Za-z]\w*(?:\^\d+)?(?:\*[A-Za-z]\w*(?:\^\d+)?)*))?$")
+
+
+def poly_from_text(text: str, names) -> Poly:
+    """The polynomial of a jsonio.poly_to_text rendering."""
+    index = {name: i for i, name in enumerate(names)}
+    arity = len(names)
+    text = text.strip()
+    if text == "0":
+        return Poly.zero(arity)
+    # normalize into signed terms
+    text = text.replace("- ", "+ -").replace("+ ", "+ ")
+    chunks = [c.strip() for c in text.split("+") if c.strip()]
+    terms = {}
+    for chunk in chunks:
+        neg = chunk.startswith("-")
+        if neg:
+            chunk = chunk[1:].strip()
+        m = _TERM_RE.match(chunk.replace(" ", ""))
+        if not m or (m.group("coeff") is None and m.group("body") is None):
+            raise ValueError(f"cannot parse term {chunk!r}")
+        coeff = rat(m.group("coeff")) if m.group("coeff") else rat(1)
+        if neg:
+            coeff = -coeff
+        mono = [0] * arity
+        body = m.group("body")
+        if body:
+            for factor in body.split("*"):
+                if "^" in factor:
+                    name, exp = factor.split("^")
+                    mono[index[name]] += int(exp)
+                else:
+                    mono[index[factor]] += 1
+        key = tuple(mono)
+        terms[key] = terms.get(key, rat(0)) + coeff
+    return Poly(arity, terms)
+
+
+def tower_from_json(obj):
+    """The tower of a node record, built by the tower constructors: the
+    result is canonical, and exact parts collapse."""
+    kind = obj["kind"]
+    if kind == "exact":
+        return tower_exact(Fraction(obj["value"]))
+    if kind == "pow":
+        return tower_pow(tower_from_json(obj["base"]), tower_from_json(obj["exp"]))
+    if kind == "factorial":
+        return tower_fact(tower_from_json(obj["arg"]))
+    if kind == "mul":
+        return tower_mul(Fraction(obj["coeff"]), *map(tower_from_json, obj["factors"]))
+    if kind == "add":
+        return tower_add(Fraction(obj["const"]), *map(tower_from_json, obj["terms"]))
+    raise ValueError(f"unknown tower node kind {kind!r}")
+
+
+def bound_report_from_json(obj) -> BoundReport:
+    bounds = {}
+    for name, rec in obj["bounds"].items():
+        if rec["form"] == "exact":
+            bounds[name] = tower_exact(Fraction(rec["value"]))
+        else:
+            bounds[name] = tower_from_json(rec["expr"])
+    return BoundReport(obj["params"], bounds)
+
+
+def affine_program_to_json(program):
+    return {
+        "num_vars": program.num_vars,
+        "updates": [
+            {"A": matrix_to_json(a), "b": [rat_to_str(x) for x in b]}
+            for a, b in program.updates
+        ],
+    }

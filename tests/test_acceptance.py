@@ -48,7 +48,7 @@ from zclosure.poly import derivative
 from zclosure.tower import tower_exact
 from zclosure._rat import rat
 
-from oracles import enumerate_group, monomial_lift, perm_matrix, run_program
+from oracles import enumerate_group, ideal_from_json, monomial_lift, perm_matrix, run_program
 
 
 def qm(rows):
@@ -92,8 +92,6 @@ def test_criterion_1_sl2_closure(capsys):
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out)
-    from zclosure.jsonio import ideal_from_json
-
     produced = ideal_from_json(payload["ideal"])
     x11, x12, x21, x22, y = glvars()
     golden = Ideal(5, [y - 1, x11 * x22 - x12 * x21 - 1])

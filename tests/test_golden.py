@@ -5,6 +5,7 @@ cross-checked against independent oracles (hand ideals, interpolation,
 mpmath); these tests pin byte-for-byte reproducibility.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -71,6 +72,20 @@ def test_rotation_invariant_golden(capsys):
 def test_bounds_golden(capsys):
     got = run_json(capsys, "bounds", "--n", "1", "--height", "2", "--gens", "1")
     assert got == load("bounds_n1_h2_s1.json")
+
+
+def test_bounds_grid_byte_identical(capsys):
+    # sha256 of the --format json stdout of bounds over n = 1..4, h = 2..9,
+    # s = 1..4 and chain-bounds over n = 1..4, k = 1..3, recorded before the
+    # log bounds moved from Fraction series to integer dyadic endpoints
+    expected = load("bounds_grid_sha256.json")
+    got = {}
+    for argv in expected:
+        code = cli_main([*argv.split(), "--format", "json"])
+        assert code == 0, argv
+        got[argv] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert len(got) == 140
+    assert got == expected
 
 
 def test_relations_golden(capsys):

@@ -11,29 +11,32 @@ from zclosure.errors import ResourceLimit
 from zclosure.jsonio import (
     SCHEMAS,
     affine_program_from_json,
-    affine_program_to_json,
-    bound_report_from_json,
     bound_report_to_json,
     generators_from_json,
-    generators_to_json,
     gl_variable_names,
-    ideal_from_json,
     ideal_to_json,
     matrix_from_json,
     matrix_to_json,
-    poly_from_json,
-    poly_from_text,
     poly_to_json,
     poly_to_text,
     rat_from_str,
     rat_to_str,
-    tower_from_json,
     tower_to_json,
 )
 from zclosure.linalg import QMatrix
 from zclosure.poly import Ideal, Poly
 from zclosure.tower import tower_cmp
 from zclosure._rat import rat
+
+from oracles import (
+    affine_program_to_json,
+    bound_report_from_json,
+    generators_to_json,
+    ideal_from_json,
+    poly_from_json,
+    poly_from_text,
+    tower_from_json,
+)
 
 
 def qm(rows):
@@ -151,6 +154,36 @@ class TestTowerSerialization:
             back = bound_report_from_json(obj)
             assert back == report
             assert json.loads(json.dumps(obj)) == obj
+
+    def test_shared_subtree_rendered_once(self):
+        # the unipotent degree bound recurs inside the general index bound;
+        # within one report each node object gets one record, reused
+        report = closure_degree_bound(2, 3, 2)
+        obj = bound_report_to_json(report)
+        towers = [v for v in report.bounds.values() if not v.is_exact]
+        exprs = [rec["expr"] for rec in obj["bounds"].values() if rec["form"] == "tower"]
+        assert json.dumps(exprs) == json.dumps([tower_to_json(t) for t in towers])
+
+        def distinct(roots, children):
+            """The objects reachable from roots, by identity."""
+            seen, stack = {}, list(roots)
+            while stack:
+                x = stack.pop()
+                if id(x) not in seen:
+                    seen[id(x)] = x
+                    stack.extend(children(x))
+            return seen
+
+        def node_children(n):
+            return [c for c in (n.base, n.exp, n.arg) if c is not None] + list(n.factors or n.terms or ())
+
+        def record_children(r):
+            return [r[k] for k in ("base", "exp", "arg") if k in r] + r.get("factors", r.get("terms", []))
+
+        nodes = distinct(towers, node_children)
+        records = distinct(exprs, record_children)
+        # fewer records than the rendered text has nodes: some are shared
+        assert len(records) == len(nodes) < sum(json.dumps(e).count('"kind"') for e in exprs)
 
 
 class TestAffineProgram:

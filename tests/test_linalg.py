@@ -13,14 +13,13 @@ from zclosure.linalg import (
     QMatrix,
     EchelonBasis,
     height,
-    matrix_height,
     integer_kernel,
     row_hnf,
 )
 from zclosure.poly import GREVLEX
 from zclosure._rat import ONE, ZERO, rat
 
-from oracles import monomial_lift
+from oracles import matrix_height, monomial_lift
 
 
 def qm(rows):

@@ -11,6 +11,7 @@ from zclosure.tower import (
     _lift,
     _lval_add,
     _normalize,
+    _ln2_bounds,
     DEFAULT_EXACT_BITS,
     TowerNumber,
     ln_bounds,
@@ -69,6 +70,76 @@ class TestLogBounds:
         truth = 100000 * mpmath.log(mpmath.mpf(3)) / mpmath.log(mpmath.mpf(2))
         assert hi - lo <= Fraction(1, 2**60)
         assert float(lo) == pytest.approx(float(truth), abs=1e-9)
+
+
+def _ln_enclosure(value: Fraction, prec: int):
+    """[lo, hi] Fractions around ln(value), by mpmath interval arithmetic."""
+    saved, mpmath.iv.prec = mpmath.iv.prec, prec
+    try:
+        t = mpmath.iv.log(mpmath.iv.mpf(value.numerator) / value.denominator)
+    finally:
+        mpmath.iv.prec = saved
+    return tuple((-1) ** sign * Fraction(man) * Fraction(2) ** exp for sign, man, exp, _ in t._mpi_)
+
+
+def _log_arguments():
+    rng = random.Random(16)
+    qs = [
+        Fraction(rng.randint(1, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** rng.randint(1, 40)))
+        for _ in range(400)
+    ]
+    return qs + [
+        Fraction(3) ** 1000,
+        Fraction(3) ** -700,
+        Fraction(2**64 + 1, 2**64),
+        Fraction(2**64 - 1, 2**64),
+        Fraction(2**200 + 1),
+        Fraction(2**200 - 1),
+    ]
+
+
+class TestLogEnclosure:
+    """ln_bounds, log2_bounds and _ln2_bounds enclose the value certified by
+    mpmath intervals at 2000 bits, and are at most 2 ulps wide at bits."""
+
+    @pytest.mark.parametrize("bits", [16, 64, 128])
+    def test_ln_and_log2_enclose(self, bits):
+        ulps2 = Fraction(2, 1 << bits)
+        for q in _log_arguments():
+            if q == 1:
+                continue
+            true_lo, true_hi = _ln_enclosure(q, 2000)
+            lo, hi = ln_bounds(q, bits)
+            assert lo <= true_lo and true_hi <= hi and hi - lo <= ulps2, q
+            if q.numerator & (q.numerator - 1) == q.denominator & (q.denominator - 1) == 0:
+                continue  # exact, checked below
+            true_lo, true_hi = _iterated_log2_enclosure(q, 1, 2000)
+            lo, hi = log2_bounds(q, bits)
+            assert lo <= true_lo and true_hi <= hi and hi - lo <= ulps2, q
+        true_lo, true_hi = _ln_enclosure(Fraction(2), 2000)
+        lo, hi = _ln2_bounds(bits)
+        assert lo <= true_lo and true_hi <= hi and hi - lo <= ulps2
+        assert (lo * (1 << bits)).denominator == (hi * (1 << bits)).denominator == 1
+
+    def test_fixed_point_kernel_encloses(self):
+        # the atanh series' own bound, before any guard bits are shifted off
+        rng = random.Random(7)
+        for p in (8, 16, 64, 200):
+            for _ in range(100):
+                den = rng.randint(3, 2**p)
+                num = rng.randint(0, den // 3)
+                lo, hi = tower._atanh_fixed(num, den, p)
+                # atanh(u) = ln((1 + u) / (1 - u)) / 2
+                true_lo, true_hi = _ln_enclosure(Fraction(den + num, den - num), 2000)
+                assert lo <= true_lo * 2 ** (p - 1) and true_hi * 2 ** (p - 1) <= hi
+                assert hi - lo <= p + 4
+
+    def test_log2_exact_on_powers_of_two(self):
+        for k in (0, 1, 63, 64, 65, 1000):
+            for bits in (16, 64, 128):
+                assert log2_bounds(Fraction(2) ** k, bits) == (k, k)
+                assert log2_bounds(Fraction(2) ** -k, bits) == (-k, -k)
+        assert log2_bounds(Fraction(2) ** 10**5) == (10**5, 10**5)
 
 
 class TestConstruction:
