@@ -193,14 +193,19 @@ def _cmd_bounds(args):
         "finite_subgroup_order": finite_subgroup_order_bound(n),
         **report.bounds,
     }
-    payload = bound_report_to_json(report)
-    return payload, report.pretty()
+    return _report_output(report, args.format)
 
 
 def _cmd_chain_bounds(args):
-    report = chain_bounds(args.n, args.field_degree)
-    payload = bound_report_to_json(report)
-    return payload, report.pretty()
+    return _report_output(chain_bounds(args.n, args.field_degree), args.format)
+
+
+def _report_output(report, fmt):
+    """(payload, text) of a bound report with only the one asked for rendered:
+    its JSON can hold an integer of 10^5 digits, and pretty() is not cheap."""
+    if fmt == "json":
+        return bound_report_to_json(report), None
+    return None, report.pretty()
 
 
 _MEMBERS = {

@@ -2,9 +2,10 @@
 
 Monomials are exponent tuples, polynomials are dicts mapping monomials to
 nonzero coefficients.  Gröbner bases use Buchberger's algorithm with the
-normal selection strategy and both classical pair-pruning criteria;
-MAX_S_PAIRS caps the number of treated S-pairs and MAX_GB_DEGREE the total
-degree of S-pairs and of intermediate polynomials in division.
+normal selection strategy and both classical pair-pruning criteria, then
+reduce in one pass by ascending leading monomial; MAX_S_PAIRS caps the
+number of treated S-pairs and MAX_GB_DEGREE the total degree of S-pairs
+and of intermediate polynomials in division.
 """
 
 import heapq
@@ -42,21 +43,21 @@ class MonomialOrder:
     first k variables means keeping basis elements with zero key head.
     """
 
-    __slots__ = ("kind", "block")
+    __slots__ = ("kind", "block", "key")
 
     def __init__(self, kind, block=0):
-        if kind not in ("grevlex", "lex", "elim"):
+        if kind == "grevlex":
+            key = _grevlex_key
+        elif kind == "lex":
+            key = tuple
+        elif kind == "elim":
+            def key(mono):
+                return (_grevlex_key(mono[:block]), _grevlex_key(mono[block:]))
+        else:
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.block = block
-
-    def key(self, mono):
-        if self.kind == "grevlex":
-            return _grevlex_key(mono)
-        if self.kind == "lex":
-            return mono
-        k = self.block
-        return (_grevlex_key(mono[:k]), _grevlex_key(mono[k:]))
+        self.key = key  # sort key of a monomial, bound once per order
 
     def __eq__(self, other):
         return (
@@ -326,15 +327,12 @@ def _divide(f, divisors, order):
     while p:
         m = max(p, key=order.key)
         c = p.pop(m)
-        hit = None
         for (lm, lc), g in divisors:
             if _mono_divides(lm, m):
-                hit = (lm, lc, g)
                 break
-        if hit is None:
+        else:
             remainder[m] = c
             continue
-        lm, lc, g = hit
         q = _mono_div(m, lm)
         factor = c / lc
         if sum(q) + g.total_degree() > MAX_GB_DEGREE:
@@ -369,9 +367,9 @@ def groebner(generators, order=GREVLEX):
     """Reduced Gröbner basis of the given generators under order.
 
     Deterministic: normal selection strategy (S-pairs by ascending lcm, ties
-    by index), coprime and chain pair pruning, then canonical inter-reduction
-    and monic scaling.  Raises ResourceLimit past MAX_S_PAIRS treated pairs
-    or an S-pair of degree above MAX_GB_DEGREE.
+    by index), coprime and chain pair pruning, then one reducing, monic pass
+    in (and output sorted by) ascending leading monomial.  Raises
+    ResourceLimit past MAX_S_PAIRS pairs or an S-pair above MAX_GB_DEGREE.
     """
     basis = [g for g in generators if g]
     if not basis:
@@ -409,9 +407,7 @@ def groebner(generators, order=GREVLEX):
 
     while heap:
         _, i, j = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
+        done.add((i, j))  # each pair is pushed once; done serves chain_skip
         lcm = _mono_lcm(lead[i], lead[j])
         if _mono_mul(lead[i], lead[j]) == lcm:
             continue  # coprime leading monomials reduce to zero
@@ -433,26 +429,15 @@ def groebner(generators, order=GREVLEX):
             for k in range(new):
                 push(new, k)
 
-    # minimalize: drop elements whose leading monomial is divisible by
-    # another's; of equal leading monomials the first one stays
-    keep = []
-    for i in range(len(heads)):
-        if any(
-            j != i and _mono_divides(lead[j], lead[i]) and (sum(lead[j]), j) < (sum(lead[i]), i)
-            for j in range(len(heads))
-        ):
-            continue
-        keep.append(i)
-    minimal = [heads[i] for i in keep]
-    # inter-reduce to the unique reduced basis
+    # the reduced basis in one pass by ascending leading monomial: a head
+    # that a kept leading monomial divides is redundant (of equal ones the
+    # stable sort keeps the first), and a divisor of a monomial is never
+    # larger than it, so only the kept heads can act on the others' terms
     reduced = []
-    for i, (_, g) in enumerate(minimal):
-        others = [h for j, h in enumerate(minimal) if j != i]
-        r = _divide(g, others, order)
-        if r:
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return reduced
+    for (lm, _), g in sorted(heads, key=lambda h: order.key(h[0][0])):
+        if not any(_mono_divides(km, lm) for (km, _), _ in reduced):
+            reduced.append(((lm, ONE), _divide(g, reduced, order).monic(order)))
+    return [g for _, g in reduced]
 
 
 class Ideal:

@@ -7,7 +7,7 @@ matrix arithmetic), truncated logarithm/exponential of unipotents, and
 polynomial matrices: one-parameter subgroups, generic matrices, det, adjugate.
 """
 
-import itertools
+import heapq
 import math
 
 from .errors import NotUnipotent, ResourceLimit, SingularMatrix, UnsupportedEigenvalues
@@ -324,14 +324,26 @@ def rational_eigenvalues(g: QMatrix):
 
 
 def _divisors(n):
-    """Positive divisors of a nonzero integer, from its bounded factorization.
+    """(count, ascending) for the positive divisors of a nonzero integer.
 
+    ascending() yields them in increasing order, one at a time from the
+    bounded factorization, so a search that stops early builds few of them.
     factor_rational raises ResourceLimit past its trial-division bound.
     """
-    out = [1]
-    for p, e in factor_rational(n)[1].items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
+    exps = factor_rational(n)[1]
+    powers = [(p, p**e) for p, e in exps.items()]
+
+    def ascending():
+        heap, seen = [1], {1}
+        while heap:
+            d = heapq.heappop(heap)
+            yield d
+            for p, top in powers:
+                if d % top and d * p not in seen:  # p's exponent in d is below e
+                    seen.add(d * p)
+                    heapq.heappush(heap, d * p)
+
+    return math.prod(e + 1 for e in exps.values()), ascending
 
 
 def _some_rational_root(p: Poly):
@@ -353,12 +365,13 @@ def _some_rational_root(p: Poly):
     low = min(ints)
     if low > 0:
         return ZERO  # x^low divides p
-    qs, ps = _divisors(lead), _divisors(ints[0])
-    for tried, (q, pnum, sign) in enumerate(itertools.product(qs, ps, (1, -1))):
+    (q_count, qs), (p_count, ps) = _divisors(lead), _divisors(ints[0])
+    candidates = ((q, pnum, sign) for q in qs() for pnum in ps() for sign in (1, -1))
+    for tried, (q, pnum, sign) in enumerate(candidates):
         if tried == ROOT_CANDIDATE_BUDGET:
             raise ResourceLimit(
                 f"rational-root search exceeded its budget of {ROOT_CANDIDATE_BUDGET} "
-                f"candidates ({2 * len(qs) * len(ps)} in all)"
+                f"candidates ({2 * q_count * p_count} in all)"
             )
         cand = rat(sign * pnum, q)
         if p.evaluate([cand]) == 0:

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
@@ -343,6 +344,12 @@ def test_bare_generator_list_is_input_error(capsys):
     assert err == 'error: generators must be a JSON object with "n" and "generators"\n'
 
 
+def _scaled_diagonal(n):
+    """diag(720720 i) for i = 1..n as a --matrix literal: 720720 has 240
+    divisors, so each eigenvalue's rational-root search has many candidates."""
+    return json.dumps([[str(720720 * (i + 1)) if i == j else "0" for j in range(n)] for i in range(n)])
+
+
 class TestRelationsCommand:
     def test_eigenvalues(self, capsys):
         payload = run_json(capsys, "relations", "--eigenvalues", '["32", "1/2"]')
@@ -398,6 +405,26 @@ class TestRelationsCommand:
         assert code == 3
         assert "budget of 10000 candidates" in err
         assert time.perf_counter() - start < 1
+
+    def test_root_search_builds_only_the_divisors_it_tries(self, capsys):
+        # diag(720720 i), i = 1..8: the first search has 2916480 candidates;
+        # building every divisor before the first try peaked at 420 MB RSS
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "relations", "--matrix", _scaled_diagonal(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == (
+            "resource limit: rational-root search exceeded its budget of 10000 "
+            "candidates (2916480 in all)\n"
+        )
+        assert peak < 20 * 2**20
+
+    def test_scaled_diagonal_eigenvalues(self, capsys):
+        payload = run_json(capsys, "relations", "--matrix", _scaled_diagonal(4))
+        assert payload["eigenvalues"] == [str(720720 * i) for i in range(1, 5)]
 
 
     def test_hundred_prime_power_values_fit_the_hnf_budget(self, capsys):
@@ -505,6 +532,26 @@ class TestChainBoundsCommand:
         import math
 
         assert payload["bounds"]["semisimple"]["value"] == str(math.factorial(16))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "--n", "2", "--height", "3", "--gens", "2"], ["chain-bounds", "--n", "2"]],
+    ids=["bounds", "chain-bounds"],
+)
+def test_bound_reports_render_only_the_format_asked_for(capsys, monkeypatch, argv, fmt):
+    expected = run(capsys, *argv, "--format", fmt)
+
+    def unused(*args):
+        raise AssertionError(f"--format {fmt} rendered the other format")
+
+    if fmt == "json":
+        monkeypatch.setattr("zclosure.bounds.BoundReport.pretty", unused)
+    else:
+        monkeypatch.setattr("zclosure.cli.bound_report_to_json", unused)
+    assert run(capsys, *argv, "--format", fmt) == expected
+    assert expected[0] == 0
 
 
 class TestSchreierCommand:

@@ -88,6 +88,19 @@ def test_bounds_grid_byte_identical(capsys):
     assert got == expected
 
 
+def test_benchmark_jobs_byte_identical(capsys):
+    # sha256 of the stdout of the 42 seed-1 benchmark jobs (closure,
+    # closure --auto, invariant, bounds, chain-bounds) in --format json and
+    # --format text; the fixture holds their argv lists
+    expected = load("benchmark_jobs_sha256.json")
+    assert len(expected) == 84
+    for entry in expected:
+        code = cli_main(entry["argv"])
+        assert code == 0, entry["argv"]
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == entry["sha256"], entry["argv"]
+
+
 def test_relations_golden(capsys):
     got = run_json(capsys, "relations", "--eigenvalues", '["32", "1/2"]')
     assert got == load("relations_32_half.json")

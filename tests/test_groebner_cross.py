@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from sympy.polys.orderings import grevlex as sym_grevlex, lex as sym_lex
+from sympy.polys.orderings import ProductOrder, grevlex as sym_grevlex, lex as sym_lex
 
-from zclosure.poly import GREVLEX, LEX, Poly, groebner
+from zclosure.poly import GREVLEX, LEX, Poly, elimination_order, groebner
 from zclosure._rat import rat
 
 
@@ -80,3 +80,33 @@ def test_matches_sympy_on_classics():
         assert sorted(mine, key=lambda p: sorted(p.terms)) == sorted(
             converted, key=lambda p: sorted(p.terms)
         )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_elimination_orders_match_sympy(k):
+    # elimination_order(k) is grevlex on the first k exponents, ties broken
+    # by grevlex on the rest: sympy's product of two grevlex orders
+    rng = random.Random(70 + k)
+    order = elimination_order(k)
+    sym_order = ProductOrder((sym_grevlex, lambda m: m[:k]), (sym_grevlex, lambda m: m[k:]))
+    checked = 0
+    while checked < 10:
+        arity = rng.choice([3, 4])
+        gens = [g for g in (random_poly(rng, arity) for _ in range(2)) if g.total_degree()]
+        if len(gens) < 2:
+            continue
+        # planted redundancy: a scalar multiple of one generator, and one
+        # with the same leading monomial as another but different lower terms
+        lm = gens[1].leading(order)[0]
+        lower = {m: c for m, c in random_poly(rng, arity).terms.items() if order.key(m) < order.key(lm)}
+        gens += [gens[0] * rat(rng.choice([-3, 2, 5])), gens[1] * 2 + Poly(arity, lower)]
+        rng.shuffle(gens)
+        symbols = sympy.symbols(f"v:{arity}")
+        mine = groebner(gens, order)
+        theirs = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols, order=sym_order)
+        converted = [from_sympy(e, symbols, arity, order) for e in theirs.exprs]
+        assert sorted(mine, key=lambda p: sorted(p.terms)) == sorted(
+            converted, key=lambda p: sorted(p.terms)
+        ), (gens, mine, converted)
+        assert mine == sorted(mine, key=lambda p: order.key(p.leading(order)[0]))
+        checked += mine != [Poly.const(arity, 1)]  # count the proper ideals
