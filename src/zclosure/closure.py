@@ -109,32 +109,19 @@ def gl_embed(g: QMatrix):
 
 @lru_cache(maxsize=None)
 def monomial_basis(m: int, d: int):
-    """All exponent tuples of m variables with total degree <= d.
+    """All exponent tuples of m variables with total degree <= d, ascending in grevlex.
 
-    Degree-ascending, grevlex-descending within each degree; the constant
-    monomial is first.  This is the coordinate order of every lifted vector.
+    Grevlex compares degree first, so the constant monomial comes first and
+    each degree is one block.  This is the coordinate order of every lifted
+    vector; an echelon row's pivot is its first nonzero column, so its
+    grevlex-least monomial.
     """
-    by_degree = [[(0,) * m]]
+    level = {(0,) * m}
+    monos = set(level)
     for _ in range(d):
-        prev = by_degree[-1]
-        seen = set()
-        nxt = []
-        for mono in prev:
-            for i in range(m):
-                bumped = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                if bumped not in seen:
-                    seen.add(bumped)
-                    nxt.append(bumped)
-        nxt.sort(key=GREVLEX.key, reverse=True)
-        by_degree.append(nxt)
-    return tuple(mono for level in by_degree for mono in level)
-
-
-@lru_cache(maxsize=None)
-def _grevlex_priority(m: int, d: int):
-    """Coordinates of monomial_basis(m, d) in ascending grevlex order."""
-    basis = monomial_basis(m, d)
-    return tuple(sorted(range(len(basis)), key=lambda i: GREVLEX.key(basis[i])))
+        level = {mono[:i] + (mono[i] + 1,) + mono[i + 1 :] for mono in level for i in range(m)}
+        monos |= level
+    return tuple(sorted(monos, key=GREVLEX.key))
 
 
 @lru_cache(maxsize=None)
@@ -169,9 +156,10 @@ def _lift(coords, d):
 class LiftedBasis:
     """Saturated span of lifted group elements: its echelon, and the witness word of each row.
 
-    Pivots are chosen in ascending grevlex order, which compares degree
-    first, so the pivot monomials of degree t are the standard monomials of
-    degree t of the closure ideal I(G), and hilbert_function[t] counts them:
+    The columns ascend in grevlex, which compares degree first, and a row's
+    pivot is its first nonzero column, so the pivot monomials of degree t
+    are the standard monomials of degree t of the closure ideal I(G), and
+    hilbert_function[t] counts them:
     the affine Hilbert function of I(G) up to degree d.  Standard monomials
     form an order ideal, so when hilbert_function[d] is 0 no standard
     monomial has degree d or more (certifies_finite).  Then the closure is
@@ -283,8 +271,9 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     over (basis vector, generator) pairs in insertion order, so the witness
     words and the resulting basis are reproducible; words[i] lists the
     generators applied, first to last.
-    Pivots are chosen in ascending grevlex order, so the free column of each
-    kernel vector is its grevlex leading monomial.  Raises ResourceLimit
+    A row's pivot is its first nonzero column, in ascending grevlex, so the
+    free column of each kernel vector is its grevlex leading monomial.
+    Raises ResourceLimit
     before building anything when C(m + d, d), which also bounds the span's
     dimension, exceeds MAX_COORDINATES.
     """
@@ -296,7 +285,7 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     if size > MAX_COORDINATES:
         raise ResourceLimit(f"{size} monomial coordinates exceed the limit {MAX_COORDINATES}")
     gens = [_int_element(g) for g in generators.with_inverses]
-    echelon = EchelonBasis(size, _grevlex_priority(m, d))
+    echelon = EchelonBasis(size)
     identity = _int_element(QMatrix.identity(n))
     echelon.insert(_scaled_lift(identity, d))
     elements = [identity]
@@ -347,9 +336,10 @@ def invariants_up_to_degree(
     full kernel in kernel_vectors()).  Each is monic in grevlex.
 
     When the span has no pivot of degree d (span.certifies_finite; see
-    LiftedBasis), the closure is finite and these generators, sorted, are
-    already its reduced grevlex basis: they seed the ideal's GREVLEX cache,
-    and no Buchberger run follows on them.  certified is "degree-complete"
+    LiftedBasis), the closure is finite and these generators, which come in
+    column order and so by ascending leading monomial, are already its
+    reduced grevlex basis: they seed the ideal's GREVLEX cache, and no
+    Buchberger run follows on them.  certified is "degree-complete"
     only when the caller asserts d dominates the true closure degree.
     """
     if d < 1:
@@ -531,21 +521,23 @@ def auto_closure(generators: GeneratorSet, max_d: int) -> ClosureResult:
     Stops at the first d with V_d = V_{d+1} (as ideals) whose variety passes
     the group certificate; the certificate is heuristic, which the result's
     certified field records.  A degree-d span with no pivot of degree d
-    (span.certifies_finite) stops there before the degree d + 1 span is
-    built: its closure is finite and V_d is the whole closure ideal, so
-    V_d = V_{d+1} and that variety is a group.
+    (span.certifies_finite), d = max_d included, stops there before the
+    degree d + 1 span is built: its closure is finite and V_d is the whole
+    closure ideal, so V_d = V_{d+1} and that variety is a group.
     """
     if max_d < 1:
         raise ValueError("max degree must be at least 1")
-    previous = invariants_up_to_degree(generators, 1)
-    for d in range(1, max_d):
-        if previous.span.certifies_finite:
-            return previous
-        current = invariants_up_to_degree(generators, d + 1)
-        if ideal_equal(previous.ideal, current.ideal) and is_group_variety(
-            previous.ideal, generators.n
+    previous = None
+    for d in range(1, max_d + 1):
+        current = invariants_up_to_degree(generators, d)
+        if (
+            previous is not None
+            and ideal_equal(previous.ideal, current.ideal)
+            and is_group_variety(previous.ideal, generators.n)
         ):
             return previous
+        if current.span.certifies_finite:
+            return current
         previous = current
     raise NoStabilization(f"no stabilization up to degree {max_d}")
 

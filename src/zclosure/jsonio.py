@@ -12,7 +12,7 @@ from .affine import AffineProgram
 from .bounds import BoundReport
 from .closure import GeneratorSet
 from .linalg import QMatrix
-from .poly import GREVLEX, Ideal, Poly
+from .poly import Ideal, Poly
 from .tower import TowerNumber
 from ._rat import rat
 
@@ -82,19 +82,14 @@ def gl_variable_names(n: int):
     return [f"x{i + 1}{j + 1}" for i in range(n) for j in range(n)] + ["y"]
 
 
-def default_names(arity: int):
-    return [f"z{i + 1}" for i in range(arity)]
-
-
 def poly_to_json(p: Poly):
     return [
         {"coeff": rat_to_str(c), "exps": list(mono)}
-        for mono, c in p.sorted_terms(GREVLEX, reverse=True)
+        for mono, c in p.sorted_terms()
     ]
 
 
-def ideal_to_json(ideal: Ideal, names=None):
-    names = names or default_names(ideal.arity)
+def ideal_to_json(ideal: Ideal, names):
     return {
         "arity": ideal.arity,
         "variables": list(names),
@@ -107,7 +102,7 @@ def poly_to_text(p: Poly, names) -> str:
     if not p.terms:
         return "0"
     bits = []
-    for mono, c in p.sorted_terms(GREVLEX, reverse=True):
+    for mono, c in p.sorted_terms():
         factors = [
             names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(mono) if e
         ]

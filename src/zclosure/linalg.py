@@ -3,10 +3,9 @@
 Matrices are immutable and dense, entries are reduced fractions, and every
 operation is exact.  One incremental echelon form, EchelonBasis, whose rows
 are stored sparsely as integer numerators over one denominator each, serves
-the span fixed point, rref, rank, kernels and inverses (det keeps its own
-loop for the pivot product); its arithmetic is on Python ints only, and it
-hands out RAT values.  row_hnf serves integer kernels, under the work budget
-HNF_WORK_BITS.
+the span fixed point, rref, rank, kernels, inverses and determinants; its
+arithmetic is on Python ints only, and it hands out RAT values.  row_hnf
+serves integer kernels, under the work budget HNF_WORK_BITS.
 """
 
 from math import gcd, lcm
@@ -80,9 +79,6 @@ class QMatrix:
 
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other):
         return (
@@ -173,29 +169,23 @@ class QMatrix:
         return s
 
     def det(self):
-        """Determinant by rational Gaussian elimination."""
+        """Signed product of the rows' pivot entries in an EchelonBasis.
+
+        Each row's remainder is the row less earlier rows and is zero at the
+        earlier pivots: taken in pivot order, the columns are triangular.
+        """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = self.row_lists()
+        echelon = EchelonBasis(self.cols)
         det = ONE
-        for c in range(n):
-            pivot = next((r for r in range(c, n) if m[r][c]), None)
-            if pivot is None:
+        for i in range(self.rows):
+            lead = echelon.insert(self.row(i))
+            if not lead:
                 return ZERO
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = ONE / m[c][c]
-            prow = m[c]
-            for r in range(c + 1, n):
-                f = m[r][c] * inv
-                if f:
-                    mr = m[r]
-                    for j in range(c, n):
-                        mr[j] -= f * prow[j]
-        return det
+            det *= lead
+        pivots = echelon.pivots
+        inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+        return -det if inversions % 2 else det
 
     def inverse(self):
         """Exact inverse; raises SingularMatrix when det = 0.
@@ -307,8 +297,10 @@ class EchelonBasis:
     """Incremental echelon form over the rationals, with sparse integer rows.
 
     Feeds the span fixed point: vectors are inserted one at a time; an
-    insertion reports whether the vector enlarged the span.  Stored rows are
-    normalized to pivot 1 and fully reduced against each other.
+    insertion reports whether the vector enlarged the span.  A row's pivot
+    is its first nonzero column, so every row is zero at the columns before
+    its pivot and at the other pivots.  Stored rows are normalized to pivot
+    1 and fully reduced against each other.
 
     Each row is kept fraction-free as its tail, a dict {column: int} of the
     numerators of its nonzero entries off the pivot, over a positive
@@ -318,25 +310,19 @@ class EchelonBasis:
     may hold ints or rationals; their denominators are cleared once on entry
     and all further arithmetic is on ints (fraction-free elimination in the
     spirit of Bareiss 1968).  rows, rref_rows, kernel and reduce return RAT
-    values, built on access; rows is in insertion order.
-
-    priority is the column order in which pivots are chosen (default: column
-    order): a row's pivot is its first nonzero entry in that order, so every
-    row is zero at the columns before its pivot and at the other pivots.
-    Each kernel vector is then one at its free column and nonzero elsewhere
-    only at pivot columns that come before it in the priority order.  Which
-    vectors are independent does not depend on the priority.
+    values, built on access; rows is in insertion order.  Each kernel vector
+    is one at its free column and nonzero elsewhere only at earlier pivot
+    columns.
     """
 
-    __slots__ = ("length", "pivots", "_tails", "_dens", "_pivot_of", "_priority")
+    __slots__ = ("length", "pivots", "_tails", "_dens", "_pivot_of")
 
-    def __init__(self, length, priority=None):
+    def __init__(self, length):
         self.length = length
         self.pivots = []
         self._tails = []
         self._dens = []
         self._pivot_of = {}
-        self._priority = range(length) if priority is None else priority
 
     def __len__(self):
         return len(self._tails)
@@ -390,13 +376,13 @@ class EchelonBasis:
         return [rat(x, s) for x in v]
 
     def insert(self, vector):
-        """Insert a vector; returns True when it was independent."""
-        v, _ = self._remainder(vector)
+        """Insert a vector: False when it is in the span, else the nonzero
+        pivot entry of its remainder against the rows before it."""
+        v, s = self._remainder(vector)
         if not any(v):
             return False
-        pivot = next(j for j in self._priority if v[j])
-        lead = v[pivot]
         new = {j: x for j, x in enumerate(v) if x}
+        pivot, lead = next(iter(new.items()))
         content = gcd(*new.values())
         if lead < 0:
             content = -content
@@ -430,7 +416,7 @@ class EchelonBasis:
         self.pivots.append(pivot)
         self._tails.append(new)
         self._dens.append(den)
-        return True
+        return rat(lead, s)
 
     def contains(self, vector):
         return not any(self._remainder(vector)[0])
@@ -444,8 +430,8 @@ class EchelonBasis:
         """Basis of {c : c . v = 0 for every v in the span}, as lists.
 
         The free-variable parametrization of the reduced rows, one vector per
-        free column in column order; with the default priority it equals
-        QMatrix.kernel_basis of the inserted rows.
+        free column in column order; it equals QMatrix.kernel_basis of the
+        inserted rows.
         """
         basis = {c: [ZERO] * self.length for c in range(self.length) if c not in self._pivot_of}
         for pc, tail, den in zip(self.pivots, self._tails, self._dens):

@@ -294,8 +294,8 @@ class Poly:
             total = total + prod
         return total
 
-    def sorted_terms(self, order=GREVLEX, reverse=True):
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=reverse)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda mc: GREVLEX.key(mc[0]), reverse=True)
 
     def __repr__(self):
         if not self.terms:
@@ -460,16 +460,14 @@ class Ideal:
 
     @classmethod
     def with_grevlex_basis(cls, arity, basis):
-        """The ideal of basis, which the caller knows is its reduced grevlex basis.
+        """The ideal of basis, which the caller knows is its reduced grevlex
+        basis, given in ascending leading-monomial order as groebner returns it.
 
-        The basis seeds the GREVLEX cache, sorted as groebner sorts its
-        output, so groebner(GREVLEX) runs no Buchberger; the generators keep
-        the given order.
+        The basis seeds the GREVLEX cache as given, so groebner(GREVLEX) runs
+        no Buchberger.
         """
         ideal = cls(arity, basis)
-        ideal._gb[GREVLEX] = tuple(
-            sorted(ideal.generators, key=lambda g: GREVLEX.key(g.leading(GREVLEX)[0]))
-        )
+        ideal._gb[GREVLEX] = ideal.generators
         return ideal
 
     def groebner(self, order=GREVLEX):

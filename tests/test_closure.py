@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import random
 
@@ -116,8 +117,14 @@ class TestEmbed:
 class TestMonomialBasis:
     def test_two_vars_degree_two(self):
         assert monomial_basis(2, 2) == (
-            (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+            (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
         )
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_ascending_grevlex(self, m):
+        for d in range(5):
+            every = [t for t in itertools.product(range(d + 1), repeat=m) if sum(t) <= d]
+            assert monomial_basis(m, d) == tuple(sorted(every, key=GREVLEX.key))
 
     def test_count(self):
         # C(m + d, d) monomials of degree <= d
@@ -132,17 +139,17 @@ class TestMonomialBasis:
 
     def test_lift_identity_degree_one(self):
         p = gl_embed(QMatrix.identity(2))
-        assert monomial_lift(p, 1) == [rat(1), rat(1), rat(0), rat(0), rat(1), rat(1)]
+        assert monomial_lift(p, 1) == [rat(1), rat(1), rat(1), rat(0), rat(0), rat(1)]
 
     def test_lift_enumeration_order(self):
-        # toy evaluation at (2, 3): [1, x, y, x^2, xy, y^2]
+        # toy evaluation at (2, 3): [1, y, x, y^2, xy, x^2]
         values = []
         for mono in monomial_basis(2, 2):
             v = rat(1)
             for c, e in zip((rat(2), rat(3)), mono):
                 v *= c**e
             values.append(v)
-        assert values == [rat(1), rat(2), rat(3), rat(4), rat(6), rat(9)]
+        assert values == [rat(1), rat(3), rat(2), rat(9), rat(6), rat(4)]
 
 
     @pytest.mark.parametrize("n", [2, 3], ids=["m5", "m10"])
@@ -180,12 +187,13 @@ class TestLiftOperator:
     def test_degree_one_block_structure(self):
         g = qm([[1, 2], [3, 4]])
         op = lift_operator(g, 1)
-        # constant row is e_0; y row scales y by y(g) = 1/det
+        # constant row is e_0; y, the grevlex-least variable, is row 1 and
+        # scales y by y(g) = 1/det
         assert list(op.row(0)) == [rat(1), rat(0), rat(0), rat(0), rat(0), rat(0)]
-        assert list(op.row(5)) == [rat(0)] * 5 + [rat(1) / g.det()]
+        assert list(op.row(1)) == [rat(0), rat(1) / g.det()] + [rat(0)] * 4
         # entry rows act by left multiplication, never touching the constant
-        for r in range(1, 5):
-            assert op[r, 0] == 0 and op[r, 5] == 0
+        for r in range(2, 6):
+            assert op[r, 0] == 0 and op[r, 1] == 0
 
     def test_defining_property_random(self):
         rng = random.Random(9)
@@ -389,12 +397,14 @@ class TestLiftedSpan:
     )
     def test_vectors_are_lifts_of_witness_words(self, gens, d):
         # words[i] lists the generators applied first to last, each on the left;
-        # their lifts, inserted in order, rebuild the span's echelon row by row
+        # their lifts, inserted in order, rebuild the span's echelon row by
+        # row, and each row's pivot is its first nonzero column
         generators = GeneratorSet(gens)
         span = lifted_span(generators, d)
-        echelon = EchelonBasis(len(monomial_basis(span.m, d)), closure._grevlex_priority(span.m, d))
-        for lift in witness_lifts(span, generators):
+        echelon = EchelonBasis(len(monomial_basis(span.m, d)))
+        for lift, pivot in zip(witness_lifts(span, generators), span.echelon.pivots):
             assert echelon.insert(lift)
+            assert next(c for c, x in enumerate(echelon.rows[-1]) if x) == pivot
         assert echelon.pivots == span.echelon.pivots
         assert echelon.rows == span.echelon.rows
 
@@ -964,6 +974,17 @@ def _generators_json(gens):
     return json.dumps({"n": n, "generators": rows})
 
 
+# the certified cells of the benchmark's closure-kernel workload
+CERTIFIED_CELLS = [
+    ("S3", 2, "unimodular"),
+    ("S3", 2, "rational"),
+    ("S3", 2, "signed-perm"),
+    ("S3", 3, "signed-perm"),
+    ("ROT4", 4, "unimodular"),
+    ("ROT6", 4, "rational"),
+]
+
+
 class TestHilbertCertificate:
     """A span with no pivot of degree d certifies a finite closure and its reduced basis."""
 
@@ -990,21 +1011,19 @@ class TestHilbertCertificate:
         cached = res.ideal._gb[GREVLEX]
         assert list(cached) == groebner(res.ideal.generators) == bm_basis
 
-    @pytest.mark.parametrize(
-        "family,d,kind",
-        [
-            ("S3", 2, "unimodular"),
-            ("S3", 2, "rational"),
-            ("S3", 2, "signed-perm"),
-            ("S3", 3, "signed-perm"),
-            ("ROT4", 4, "unimodular"),
-            ("ROT6", 4, "rational"),
-        ],
-    )
+    @pytest.mark.parametrize("family,d,kind", CERTIFIED_CELLS)
     def test_benchmark_cells_match_buchberger_moller(self, family, d, kind):
         res = invariants_up_to_degree(GeneratorSet(_conjugated(family, kind)), d)
         assert res.span.certifies_finite
         assert res.ideal.groebner() == _interpolated(family, kind)[1]
+
+    @pytest.mark.parametrize("family,d,kind", CERTIFIED_CELLS)
+    def test_generators_come_as_the_reduced_basis(self, family, d, kind):
+        # the minimal kernel vectors come out in column order, ascending
+        # grevlex, which is the order of the reduced basis they seed
+        ideal = invariants_up_to_degree(GeneratorSet(_conjugated(family, kind)), d).ideal
+        assert ideal.generators == tuple(ideal.groebner())
+        assert ideal.generators == tuple(groebner(ideal.generators))
 
     @pytest.mark.parametrize(
         "family,degrees",
@@ -1055,4 +1074,44 @@ class TestHilbertCertificate:
         expected = invariants_up_to_degree(GeneratorSet(SYM3), 2).ideal
         assert res.ideal.generators == expected.generators
         assert res.ideal.groebner() == groebner(expected.generators)
+
+    def test_auto_closure_reads_the_certificate_of_the_last_span(self, monkeypatch):
+        # at max degree 2 the degree-2 span is the last one built, and its
+        # certificate alone ends the search
+        degrees = []
+        real = closure.lifted_span
+
+        def spy(generators, d):
+            degrees.append(d)
+            return real(generators, d)
+
+        monkeypatch.setattr(closure, "lifted_span", spy)
+        res = auto_closure(GeneratorSet(SYM3), 2)
+        assert degrees == [1, 2]
+        assert res.degree_used == 2
+        assert res.span.hilbert_function == [1, 5, 0]
+
+    def test_auto_cli_certifies_at_max_degree(self):
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli_main(["closure", "--generators", _generators_json(SYM3), "--auto", *argv])
+            return code, out.getvalue()
+
+        for fmt in ("json", "text"):
+            code, out = run("--max-degree", "2", "--format", fmt)
+            assert code == 0
+            assert (code, out) == run("--max-degree", "3", "--format", fmt)
+        assert "closure ideal of degree <= 2 (heuristic-stable)" in out
+
+    def test_auto_identity_at_max_degree_one(self):
+        res = auto_closure(GeneratorSet([QMatrix.identity(2)]), 1)
+        assert res.degree_used == 1
+        assert res.span.certifies_finite
+
+    def test_auto_cli_sl2_max_degree_one_still_fails(self):
+        argv = ["closure", "--generators", _generators_json(list(sl2_generators().gens))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli_main(argv + ["--auto", "--max-degree", "1"]) == 2
+        assert err.getvalue() == "error: no stabilization up to degree 1\n"
 
