@@ -73,27 +73,35 @@ MAX_SCHREIER_BITS = 10**7
 class GeneratorSet:
     """Finite set of invertible rational matrices, closed copy with inverses."""
 
-    __slots__ = ("n", "gens", "with_inverses")
+    __slots__ = ("n", "gens", "with_inverses", "inverse_dets")
 
     def __init__(self, gens):
         gens = tuple(gens)
         if not gens:
             raise ValueError("need at least one generator")
         n = gens[0].rows
+        dets = []
         for g in gens:
             if not g.is_square or g.rows != n:
                 raise ValueError("generators must be square of equal size")
-            if not g.det():
+            det = g.det()
+            if not det:
                 raise SingularMatrix("generators must be invertible")
+            dets.append(det)
         self.n = n
         self.gens = gens
         seen = {}
         ordered = []
-        for g in list(gens) + [g.inverse() for g in gens]:
+        inverse_dets = []  # 1/det of each element of with_inverses
+        candidates = [(g, ONE / det) for g, det in zip(gens, dets)]
+        candidates += [(g.inverse(), det) for g, det in zip(gens, dets)]
+        for g, y in candidates:
             if g.entries not in seen:
                 seen[g.entries] = True
                 ordered.append(g)
+                inverse_dets.append(y)
         self.with_inverses = tuple(ordered)
+        self.inverse_dets = tuple(inverse_dets)
 
     def __repr__(self):
         return f"GeneratorSet(n={self.n}, {len(self.gens)} generators)"
@@ -216,10 +224,9 @@ class ClosureResult:
         )
 
 
-def _int_element(g: QMatrix):
-    """g as (H, D, a, b): g = H / D and 1/det g = a / b, each in lowest terms, D, b > 0."""
+def _int_element(g: QMatrix, y):
+    """g as (H, D, a, b): g = H / D and y = 1/det g = a / b, each in lowest terms, D, b > 0."""
     den = lcm(*(int(e.denominator) for e in g.entries))
-    y = ONE / g.det()
     return (
         tuple(int(e.numerator) * (den // int(e.denominator)) for e in g.entries),
         den,
@@ -284,9 +291,9 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     size = comb(m + d, d)
     if size > MAX_COORDINATES:
         raise ResourceLimit(f"{size} monomial coordinates exceed the limit {MAX_COORDINATES}")
-    gens = [_int_element(g) for g in generators.with_inverses]
+    gens = [_int_element(g, y) for g, y in zip(generators.with_inverses, generators.inverse_dets)]
     echelon = EchelonBasis(size)
-    identity = _int_element(QMatrix.identity(n))
+    identity = _int_element(QMatrix.identity(n), ONE)
     echelon.insert(_scaled_lift(identity, d))
     elements = [identity]
     words = [()]
@@ -487,7 +494,7 @@ def is_group_variety(ideal: Ideal, n: int) -> bool:
     reduced = ideal.groebner(GREVLEX)
     if not reduced:
         return True
-    identity = gl_embed(QMatrix.identity(n))
+    identity = (*QMatrix.identity(n).entries, ONE)  # gl_embed of the identity
     for f in reduced:
         if f.evaluate(identity) != 0:
             return False

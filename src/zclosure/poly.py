@@ -6,9 +6,17 @@ normal selection strategy and both classical pair-pruning criteria, then
 reduce in one pass by ascending leading monomial; MAX_S_PAIRS caps the
 number of treated S-pairs and MAX_GB_DEGREE the total degree of S-pairs
 and of intermediate polynomials in division.
+
+Division keeps its pending terms in a heap, largest first (Monagan & Pearce,
+CASC 2007), and skips the entries of terms that cancelled.  Each divisor's
+leading monomial carries a short divisibility mask, one bit per variable
+that occurs in it (Singular's short exponent vectors): lm can divide m only
+when mask(lm) & ~mask(m) == 0, and two leading monomials are coprime exactly
+when their masks share no bit.
 """
 
 import heapq
+from operator import add, le, neg, sub
 
 from .errors import ResourceLimit
 from ._rat import ZERO, ONE, rat
@@ -32,7 +40,11 @@ __all__ = [
 
 
 def _grevlex_key(mono):
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), tuple(map(neg, reversed(mono))))
+
+
+def _grevlex_reverse_key(mono):
+    return (-sum(mono),) + mono[::-1]
 
 
 class MonomialOrder:
@@ -43,21 +55,32 @@ class MonomialOrder:
     first k variables means keeping basis elements with zero key head.
     """
 
-    __slots__ = ("kind", "block", "key")
+    __slots__ = ("kind", "block", "key", "reverse_key")
 
     def __init__(self, kind, block=0):
         if kind == "grevlex":
             key = _grevlex_key
+            reverse_key = _grevlex_reverse_key
         elif kind == "lex":
             key = tuple
+
+            def reverse_key(mono):
+                return tuple(map(neg, mono))
         elif kind == "elim":
             def key(mono):
                 return (_grevlex_key(mono[:block]), _grevlex_key(mono[block:]))
+
+            def reverse_key(mono):
+                # the head's keys all have length block + 1, so the flat
+                # tuple compares the head first, as key does
+                return _grevlex_reverse_key(mono[:block]) + _grevlex_reverse_key(mono[block:])
         else:
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.block = block
         self.key = key  # sort key of a monomial, bound once per order
+        # sorts in the reverse order of key: a heap on it pops the largest first
+        self.reverse_key = reverse_key
 
     def __eq__(self, other):
         return (
@@ -84,19 +107,16 @@ def elimination_order(k):
 
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _mask(mono):
+    """Divisibility mask of a monomial: bit i is set when variable i occurs."""
+    mask = 0
+    for i, e in enumerate(mono):
+        if e:
+            mask |= 1 << i
+    return mask
 
 
 class Poly:
@@ -317,50 +337,81 @@ MAX_GB_DEGREE = 60
 def normal_form(f, basis, order=GREVLEX):
     """Remainder of f under multivariate division by basis (full tail reduction);
     ResourceLimit when a reduction step passes degree MAX_GB_DEGREE."""
-    return _divide(f, [(g.leading(order), g) for g in basis if g], order)
+    return _divide(f, [_head(*g.leading(order), g) for g in basis if g], order)
 
 
-def _divide(f, divisors, order):
-    """normal_form against ((lm, lc), g) pairs whose leading terms are known."""
+def _head(lm, lc, g):
+    """g as a divisor: (lm, mask of lm, total degree of g, the other terms
+    of g over the leading coefficient lc, g)."""
+    tail = tuple((m, c / lc) for m, c in g.terms.items() if m != lm)
+    return lm, _mask(lm), g.total_degree(), tail, g
+
+
+def _divide(f, heads, order):
+    """normal_form against heads built by _head.
+
+    The pending terms are keys of p; the heap holds (reverse key, monomial)
+    for each, so it pops the largest first.  A term that cancels leaves its
+    entry behind, and a term created again is pushed again; an entry whose
+    term is not in p is stale and is skipped.
+    """
+    reverse_key = order.reverse_key
     p = dict(f.terms)
+    heap = [(reverse_key(m), m) for m in p]
+    heapq.heapify(heap)
     remainder = {}
-    while p:
-        m = max(p, key=order.key)
-        c = p.pop(m)
-        for (lm, lc), g in divisors:
-            if _mono_divides(lm, m):
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = p.pop(m, None)
+        if c is None:
+            continue
+        mask = _mask(m)
+        for lm, lmask, degree, tail, _ in heads:
+            if not lmask & ~mask and all(map(le, lm, m)):
                 break
         else:
             remainder[m] = c
             continue
-        q = _mono_div(m, lm)
-        factor = c / lc
-        if sum(q) + g.total_degree() > MAX_GB_DEGREE:
+        q = tuple(map(sub, m, lm))
+        if sum(q) + degree > MAX_GB_DEGREE:
             raise ResourceLimit(
                 f"intermediate degree exceeded {MAX_GB_DEGREE} during division"
             )
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue
-            t = _mono_mul(q, gm)
-            s = p.get(t, ZERO) - factor * gc
-            if s:
-                p[t] = s
+        for gm, gc in tail:
+            t = tuple(map(add, q, gm))
+            old = p.get(t)
+            if old is None:
+                p[t] = -c * gc
+                heapq.heappush(heap, (reverse_key(t), t))
             else:
-                p.pop(t, None)
+                s = old - c * gc
+                if s:
+                    p[t] = s
+                else:
+                    del p[t]
     out = Poly.__new__(Poly)
     out.arity = f.arity
     out.terms = remainder
     return out
 
 
-def _s_poly(head_f, head_g):
-    (fm, fc), f = head_f
-    (gm, gc), g = head_g
-    lcm = _mono_lcm(fm, gm)
-    mf = Poly(f.arity, {_mono_div(lcm, fm): ONE / fc})
-    mg = Poly(g.arity, {_mono_div(lcm, gm): ONE / gc})
-    return mf * f - mg * g
+def _s_poly(head_f, head_g, lcm):
+    """lcm/lm(f)·f/lc(f) − lcm/lm(g)·g/lc(g) from the tails of two heads."""
+    (fm, _, _, f_tail, _), (gm, _, _, g_tail, _) = head_f, head_g
+    q = tuple(map(sub, lcm, fm))
+    out = {tuple(map(add, q, m)): c for m, c in f_tail}
+    q = tuple(map(sub, lcm, gm))
+    for m, c in g_tail:
+        t = tuple(map(add, q, m))
+        s = out.get(t, ZERO) - c
+        if s:
+            out[t] = s
+        else:
+            out.pop(t, None)
+    f = Poly.__new__(Poly)
+    f.arity = len(lcm)
+    f.terms = out
+    return f
 
 
 def groebner(generators, order=GREVLEX):
@@ -380,25 +431,25 @@ def groebner(generators, order=GREVLEX):
     if any(g.total_degree() == 0 for g in basis):
         return [Poly.const(arity, 1)]
 
-    # ((lm, lc), g) per basis element; lead[i] is the monomial of heads[i]
-    heads = [(g.leading(order), g) for g in basis]
-    lead = [lm for (lm, _), _ in heads]
-    heap = []
+    key = order.key
+    heads = [_head(*g.leading(order), g) for g in basis]
+    heap = []  # (key of the lcm, i, j, lcm) per pair, i > j
     done = set()
     treated = 0
 
     def push(i, j):
-        heapq.heappush(heap, (order.key(_mono_lcm(lead[i], lead[j])), i, j))
+        lcm = tuple(map(max, heads[i][0], heads[j][0]))
+        heapq.heappush(heap, (key(lcm), i, j, lcm))
 
     for i in range(len(heads)):
         for j in range(i):
             push(i, j)
 
-    def chain_skip(i, j, lcm):
-        for k in range(len(heads)):
-            if k in (i, j):
+    def chain_skip(i, j, lcm, mask):
+        for k, (lm, lmask, _, _, _) in enumerate(heads):
+            if lmask & ~mask or k == i or k == j:
                 continue
-            if _mono_divides(lead[k], lcm):
+            if all(map(le, lm, lcm)):
                 a = (max(i, k), min(i, k))
                 b = (max(j, k), min(j, k))
                 if a in done and b in done:
@@ -406,12 +457,12 @@ def groebner(generators, order=GREVLEX):
         return False
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         done.add((i, j))  # each pair is pushed once; done serves chain_skip
-        lcm = _mono_lcm(lead[i], lead[j])
-        if _mono_mul(lead[i], lead[j]) == lcm:
+        mask_i, mask_j = heads[i][1], heads[j][1]
+        if not mask_i & mask_j:
             continue  # coprime leading monomials reduce to zero
-        if chain_skip(i, j, lcm):
+        if chain_skip(i, j, lcm, mask_i | mask_j):
             continue
         treated += 1
         if treated > MAX_S_PAIRS:
@@ -420,11 +471,9 @@ def groebner(generators, order=GREVLEX):
             raise ResourceLimit(
                 f"S-pair degree {sum(lcm)} exceeds budget {MAX_GB_DEGREE}"
             )
-        r = _divide(_s_poly(heads[i], heads[j]), heads, order)
+        r = _divide(_s_poly(heads[i], heads[j], lcm), heads, order)
         if r:
-            head = r.leading(order)
-            heads.append((head, r))
-            lead.append(head[0])
+            heads.append(_head(*r.leading(order), r))
             new = len(heads) - 1
             for k in range(new):
                 push(new, k)
@@ -434,10 +483,12 @@ def groebner(generators, order=GREVLEX):
     # stable sort keeps the first), and a divisor of a monomial is never
     # larger than it, so only the kept heads can act on the others' terms
     reduced = []
-    for (lm, _), g in sorted(heads, key=lambda h: order.key(h[0][0])):
-        if not any(_mono_divides(km, lm) for (km, _), _ in reduced):
-            reduced.append(((lm, ONE), _divide(g, reduced, order).monic(order)))
-    return [g for _, g in reduced]
+    for lm, mask, _, _, g in sorted(heads, key=lambda h: key(h[0])):
+        if not any(
+            not kmask & ~mask and all(map(le, km, lm)) for km, kmask, _, _, _ in reduced
+        ):
+            reduced.append(_head(lm, ONE, _divide(g, reduced, order).monic(order)))
+    return [g for _, _, _, _, g in reduced]
 
 
 class Ideal:

@@ -215,29 +215,40 @@ class TowerNumber:
 
     def pretty(self):
         """Human rendering with the up-arrow power notation."""
+        return self._pretty({})
+
+    def _pretty(self, memo):
+        # memo: id of a node -> its text, so a shared subtree is rendered once
+        text = memo.get(id(self))
+        if text is not None:
+            return text
+
+        def wrap(t):
+            s = t._pretty(memo)
+            return f"({s})" if t.kind in ("mul", "add") or ("↑" in s or "!" in s) else s
+
         if self.kind == "exact":
             v = self.value
             if v.denominator == 1 and v.numerator.bit_length() > 80:
-                return f"~2^{v.numerator.bit_length() - 1}"
-            return str(v)
-
-        def wrap(t):
-            s = t.pretty()
-            return f"({s})" if t.kind in ("mul", "add") or ("↑" in s or "!" in s) else s
-
-        if self.kind == "pow":
-            return f"{wrap(self.base)}↑{wrap(self.exp)}"
-        if self.kind == "factorial":
-            return f"{wrap(self.arg)}!"
-        if self.kind == "mul":
+                text = f"~2^{v.numerator.bit_length() - 1}"
+            else:
+                text = str(v)
+        elif self.kind == "pow":
+            text = f"{wrap(self.base)}↑{wrap(self.exp)}"
+        elif self.kind == "factorial":
+            text = f"{wrap(self.arg)}!"
+        elif self.kind == "mul":
             bits = [wrap(f) for f in self.factors]
             if self.coeff != 1:
                 bits = [str(self.coeff)] + bits
-            return "·".join(bits)
-        bits = [t.pretty() for t in self.terms]
-        if self.const:
-            bits.append(str(self.const))
-        return " + ".join(bits)
+            text = "·".join(bits)
+        else:
+            bits = [t._pretty(memo) for t in self.terms]
+            if self.const:
+                bits.append(str(self.const))
+            text = " + ".join(bits)
+        memo[id(self)] = text
+        return text
 
 
 def _coerce(x):

@@ -90,6 +90,16 @@ class TestGeneratorSet:
         for g in gens.with_inverses:
             assert g.inverse().entries in mats
 
+    def test_inverse_dets_follow_with_inverses(self):
+        # an involution is its own inverse and a repeated generator is kept
+        # once, so with_inverses is shorter than twice the generators
+        rng = random.Random(5)
+        swap = qm([[0, 1], [1, 0]])
+        g = random_invertible(rng, 2)
+        gens = GeneratorSet([g, swap, g, g.inverse() * 3])
+        assert len(gens.with_inverses) == 5
+        assert gens.inverse_dets == tuple(1 / h.det() for h in gens.with_inverses)
+
 
 class TestEmbed:
     def test_identity(self):
@@ -165,7 +175,7 @@ class TestMonomialBasis:
                     g = QMatrix(n, n, entries)
                     if g.det():
                         break
-                element = closure._int_element(g)
+                element = closure._int_element(g, 1 / g.det())
                 scale = (element[1] * element[3]) ** d
                 expected = [scale * x for x in monomial_lift(gl_embed(g), d)]
                 assert closure._scaled_lift(element, d) == expected
@@ -175,8 +185,8 @@ class TestMonomialBasis:
         rng = random.Random(40 + n)
         for _ in range(20):
             g, w = random_invertible(rng, n), random_invertible(rng, n)
-            product = closure._int_product(closure._int_element(g), closure._int_element(w), n)
-            assert product == closure._int_element(g * w)
+            elements = [closure._int_element(h, 1 / h.det()) for h in (g, w, g * w)]
+            assert closure._int_product(elements[0], elements[1], n) == elements[2]
 
 
 class TestLiftOperator:

@@ -240,6 +240,33 @@ class TestGroebner:
         with pytest.raises(ResourceLimit, match="intermediate degree"):
             normal_form(x**61, [x - y], GREVLEX)
 
+    def test_division_budget_message(self):
+        # the first step of x^61 by x - 1 multiplies a degree-1 divisor by
+        # x^60; x^60 itself reduces to 1 in 60 steps of degree at most 60
+        x, _ = vars2()
+        with pytest.raises(ResourceLimit) as exc:
+            normal_form(x**61, [x - 1], GREVLEX)
+        assert str(exc.value) == "intermediate degree exceeded 60 during division"
+        assert normal_form(x**60, [x - 1], GREVLEX) == Poly.const(2, 1)
+
+    def test_s_pair_degree_budget_message(self):
+        # lcm(x^31 y, x y^31) = x^31 y^31 has degree 62
+        x, y = vars2()
+        with pytest.raises(ResourceLimit) as exc:
+            groebner([x**31 * y - 1, x * y**31 - 1], GREVLEX)
+        assert str(exc.value) == "S-pair degree 62 exceeds budget 60"
+
+    def test_pair_budget_message(self, monkeypatch):
+        # this system treats 8 S-pairs under grevlex
+        x, y, z = vars3()
+        gens = [x * y - z, y * z - x, z * x - y]
+        monkeypatch.setattr(poly, "MAX_S_PAIRS", 8)
+        assert len(groebner(gens, GREVLEX)) == 6
+        monkeypatch.setattr(poly, "MAX_S_PAIRS", 7)
+        with pytest.raises(ResourceLimit) as exc:
+            groebner(gens, GREVLEX)
+        assert str(exc.value) == "S-pair budget 7 exceeded"
+
 
 # independent elimination oracle: Sylvester resultant with polynomial entries
 
