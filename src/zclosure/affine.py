@@ -11,7 +11,7 @@ coordinates are eliminated.
 """
 
 from .closure import GeneratorSet, invariants_up_to_degree
-from .errors import NonInvertibleUpdate
+from .errors import NonInvertibleUpdate, SingularMatrix
 from .linalg import QMatrix
 from .poly import Ideal, Poly, eliminate
 from .structure import PolyMatrix
@@ -52,16 +52,17 @@ def homogenize(a: QMatrix, b) -> QMatrix:
 
 
 def affine_to_generators(program: AffineProgram) -> GeneratorSet:
-    gens = []
-    for index, (a, b) in enumerate(program.updates):
-        if not a.det():
-            raise NonInvertibleUpdate(
-                index,
-                f"update {index} is not invertible; non-invertible updates need a "
-                "semigroup closure, which is outside the group engine",
-            )
-        gens.append(homogenize(a, b))
-    return GeneratorSet(gens)
+    """The homogenized updates; GeneratorSet takes each determinant, which is
+    det A, so a singular update is found again only on that error."""
+    try:
+        return GeneratorSet([homogenize(a, b) for a, b in program.updates])
+    except SingularMatrix:
+        index = next(i for i, (a, _) in enumerate(program.updates) if not a.det())
+        raise NonInvertibleUpdate(
+            index,
+            f"update {index} is not invertible; non-invertible updates need a "
+            "semigroup closure, which is outside the group engine",
+        ) from None
 
 
 def strongest_invariant(program: AffineProgram, d: int) -> Ideal:

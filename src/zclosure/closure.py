@@ -31,7 +31,6 @@ from .poly import (
     eliminate,
     ideal_equal,
     ideal_member,
-    normal_form,
 )
 from .relations import lattice_to_binomial_ideal, rational_relation_lattice
 from .structure import PolyMatrix, is_semisimple, one_parameter, rational_eigenvalues
@@ -500,15 +499,19 @@ def is_group_variety(ideal: Ideal, n: int) -> bool:
             return False
 
     # product: two generic copies u (vars 0..m-1) and v (vars m..2m-1); the
-    # copies share no variable, so their union is a Gröbner basis
+    # copies share no variable, so their union is the reduced Gröbner basis
+    # of the doubled ideal, and every product image reduces against it
     double = [f.map_variables(2 * m, range(m)) for f in reduced] + [
         f.map_variables(2 * m, range(m, 2 * m)) for f in reduced
     ]
+    doubled = Ideal.with_grevlex_basis(
+        2 * m, sorted(double, key=lambda f: GREVLEX.key(f.leading(GREVLEX)[0]))
+    )
     product = PolyMatrix.generic(n, 2 * m) * PolyMatrix.generic(n, 2 * m, m)
     prod_map = dict(enumerate(product.entries))
     prod_map[m - 1] = Poly.variable(m - 1, 2 * m) * Poly.variable(2 * m - 1, 2 * m)
     for f in reduced:
-        if normal_form(f.subs(prod_map), double):
+        if not ideal_member(f.subs(prod_map), doubled):
             return False
 
     # inverse: adjugate times y gives the entries, det gives the new y

@@ -13,9 +13,19 @@ leading monomial carries a short divisibility mask, one bit per variable
 that occurs in it (Singular's short exponent vectors): lm can divide m only
 when mask(lm) & ~mask(m) == 0, and two leading monomials are coprime exactly
 when their masks share no bit.
+
+Division and Buchberger run fraction-free on Python ints (as Bareiss
+elimination does, Math. Comp. 22, 1968): each divisor is the primitive
+integer multiple of its polynomial, a dividend's denominators are cleared
+once, and a step scales the dividend instead of dividing by the leading
+coefficient.  Rationals come back only at the end: normal_form returns the
+remainder over the multiplier it tracked, and groebner makes its reduced
+basis monic.  Only scalar multiples change, so every step takes the same
+term, divisor and S-pair as division over the rationals.
 """
 
 import heapq
+from math import gcd, lcm as _lcm
 from operator import add, le, neg, sub
 
 from .errors import ResourceLimit
@@ -40,7 +50,7 @@ __all__ = [
 
 
 def _grevlex_key(mono):
-    return (sum(mono), tuple(map(neg, reversed(mono))))
+    return (sum(mono), *map(neg, reversed(mono)))
 
 
 def _grevlex_reverse_key(mono):
@@ -67,12 +77,12 @@ class MonomialOrder:
             def reverse_key(mono):
                 return tuple(map(neg, mono))
         elif kind == "elim":
+            # the head's keys all have length block + 1, so the flat tuples
+            # compare the first block before the rest
             def key(mono):
-                return (_grevlex_key(mono[:block]), _grevlex_key(mono[block:]))
+                return _grevlex_key(mono[:block]) + _grevlex_key(mono[block:])
 
             def reverse_key(mono):
-                # the head's keys all have length block + 1, so the flat
-                # tuple compares the head first, as key does
                 return _grevlex_reverse_key(mono[:block]) + _grevlex_reverse_key(mono[block:])
         else:
             raise ValueError(f"unknown order kind {kind!r}")
@@ -337,18 +347,54 @@ MAX_GB_DEGREE = 60
 def normal_form(f, basis, order=GREVLEX):
     """Remainder of f under multivariate division by basis (full tail reduction);
     ResourceLimit when a reduction step passes degree MAX_GB_DEGREE."""
-    return _divide(f, [_head(*g.leading(order), g) for g in basis if g], order)
+    p, s = _clear(f.terms)
+    remainder, mu = _reduce(p, _heads(basis, order), order)
+    s *= mu
+    return f._wrap({m: rat(c, s) for m, c in remainder.items()})
 
 
-def _head(lm, lc, g):
-    """g as a divisor: (lm, mask of lm, total degree of g, the other terms
-    of g over the leading coefficient lc, g)."""
-    tail = tuple((m, c / lc) for m, c in g.terms.items() if m != lm)
-    return lm, _mask(lm), g.total_degree(), tail, g
+def _heads(polys, order):
+    """The nonzero polys as divisors, by _head of their primitive integer multiples."""
+    key = order.key
+    heads = []
+    for g in polys:
+        if g:
+            terms = _primitive(_clear(g.terms)[0])
+            heads.append(_head(max(terms, key=key), terms))
+    return heads
 
 
-def _divide(f, heads, order):
-    """normal_form against heads built by _head.
+def _clear(terms):
+    """(integer terms, s): s > 0 is the lcm of the denominators, the integer
+    terms are s times the rational ones."""
+    s = _lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (s // c.denominator) for m, c in terms.items()}, s
+
+
+def _primitive(terms):
+    """The integer terms over their content."""
+    g = gcd(*terms.values())
+    if g == 1:
+        return terms
+    return {m: c // g for m, c in terms.items()}
+
+
+def _head(lm, terms):
+    """The integer polynomial terms, leading monomial lm, as a divisor:
+    (lm, mask of lm, total degree, leading coefficient, the other terms)."""
+    tail = tuple((m, c) for m, c in terms.items() if m != lm)
+    return lm, _mask(lm), max(map(sum, terms)), terms[lm], tail
+
+
+def _reduce(p, heads, order):
+    """Fraction-free division of the integer terms p (consumed) by heads.
+
+    Returns (remainder, mu): the remainder's terms in descending order, so its
+    first key is its leading monomial, and mu ≠ 0 with mu·p ≡ remainder modulo
+    the heads.  A step on the term c·x^m by the head L·x^lm + tail sets
+    p ← (L/g)·p − (c/g)·x^(m−lm)·tail with g = gcd(L, c), scaling the
+    remainder too; it picks the same term and divisor as division over the
+    rationals would, and the remainder over mu is the rational remainder.
 
     The pending terms are keys of p; the heap holds (reverse key, monomial)
     for each, so it pops the largest first.  A term that cancels leaves its
@@ -356,17 +402,17 @@ def _divide(f, heads, order):
     term is not in p is stale and is skipped.
     """
     reverse_key = order.reverse_key
-    p = dict(f.terms)
     heap = [(reverse_key(m), m) for m in p]
     heapq.heapify(heap)
     remainder = {}
+    mu = 1
     while heap:
         m = heapq.heappop(heap)[1]
         c = p.pop(m, None)
         if c is None:
             continue
         mask = _mask(m)
-        for lm, lmask, degree, tail, _ in heads:
+        for lm, lmask, degree, lc, tail in heads:
             if not lmask & ~mask and all(map(le, lm, m)):
                 break
         else:
@@ -377,6 +423,16 @@ def _divide(f, heads, order):
             raise ResourceLimit(
                 f"intermediate degree exceeded {MAX_GB_DEGREE} during division"
             )
+        if lc != 1:
+            g = gcd(lc, c)
+            a = lc // g
+            c //= g
+            if a != 1:
+                mu *= a
+                for t in p:
+                    p[t] *= a
+                for t in remainder:
+                    remainder[t] *= a
         for gm, gc in tail:
             t = tuple(map(add, q, gm))
             old = p.get(t)
@@ -389,29 +445,26 @@ def _divide(f, heads, order):
                     p[t] = s
                 else:
                     del p[t]
-    out = Poly.__new__(Poly)
-    out.arity = f.arity
-    out.terms = remainder
-    return out
+    return remainder, mu
 
 
 def _s_poly(head_f, head_g, lcm):
-    """lcm/lm(f)·f/lc(f) − lcm/lm(g)·g/lc(g) from the tails of two heads."""
-    (fm, _, _, f_tail, _), (gm, _, _, g_tail, _) = head_f, head_g
+    """The integer S-polynomial of two heads: (L_g/g)·lcm/lm(f)·f − (L_f/g)·lcm/lm(g)·g
+    with g = gcd(L_f, L_g); the leading terms cancel, so only the tails enter."""
+    (fm, _, _, f_lc, f_tail), (gm, _, _, g_lc, g_tail) = head_f, head_g
+    g = gcd(f_lc, g_lc)
+    a, b = g_lc // g, f_lc // g
     q = tuple(map(sub, lcm, fm))
-    out = {tuple(map(add, q, m)): c for m, c in f_tail}
+    out = {tuple(map(add, q, m)): a * c for m, c in f_tail}
     q = tuple(map(sub, lcm, gm))
     for m, c in g_tail:
         t = tuple(map(add, q, m))
-        s = out.get(t, ZERO) - c
+        s = out.get(t, 0) - b * c
         if s:
             out[t] = s
         else:
             out.pop(t, None)
-    f = Poly.__new__(Poly)
-    f.arity = len(lcm)
-    f.terms = out
-    return f
+    return out
 
 
 def groebner(generators, order=GREVLEX):
@@ -421,6 +474,11 @@ def groebner(generators, order=GREVLEX):
     by index), coprime and chain pair pruning, then one reducing, monic pass
     in (and output sorted by) ascending leading monomial.  Raises
     ResourceLimit past MAX_S_PAIRS pairs or an S-pair above MAX_GB_DEGREE.
+
+    Every basis element is kept as a primitive integer polynomial, a rational
+    multiple of the one division over the rationals would give, so each step
+    takes the same pair, term and divisor; only the final pass makes the
+    elements monic over the rationals.
     """
     basis = [g for g in generators if g]
     if not basis:
@@ -432,9 +490,9 @@ def groebner(generators, order=GREVLEX):
         return [Poly.const(arity, 1)]
 
     key = order.key
-    heads = [_head(*g.leading(order), g) for g in basis]
+    heads = _heads(basis, order)
+    partners = [set() for _ in heads]  # partners[i]: k with the pair {i, k} popped
     heap = []  # (key of the lcm, i, j, lcm) per pair, i > j
-    done = set()
     treated = 0
 
     def push(i, j):
@@ -445,24 +503,20 @@ def groebner(generators, order=GREVLEX):
         for j in range(i):
             push(i, j)
 
-    def chain_skip(i, j, lcm, mask):
-        for k, (lm, lmask, _, _, _) in enumerate(heads):
-            if lmask & ~mask or k == i or k == j:
-                continue
-            if all(map(le, lm, lcm)):
-                a = (max(i, k), min(i, k))
-                b = (max(j, k), min(j, k))
-                if a in done and b in done:
-                    return True
-        return False
-
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
-        done.add((i, j))  # each pair is pushed once; done serves chain_skip
+        partners[i].add(j)  # each pair is pushed once
+        partners[j].add(i)
         mask_i, mask_j = heads[i][1], heads[j][1]
         if not mask_i & mask_j:
             continue  # coprime leading monomials reduce to zero
-        if chain_skip(i, j, lcm, mask_i | mask_j):
+        # chain criterion: some k, its pairs with i and with j both popped,
+        # whose leading monomial divides the lcm
+        mask = mask_i | mask_j
+        if any(
+            not heads[k][1] & ~mask and all(map(le, heads[k][0], lcm))
+            for k in partners[i] & partners[j]
+        ):
             continue
         treated += 1
         if treated > MAX_S_PAIRS:
@@ -471,9 +525,10 @@ def groebner(generators, order=GREVLEX):
             raise ResourceLimit(
                 f"S-pair degree {sum(lcm)} exceeds budget {MAX_GB_DEGREE}"
             )
-        r = _divide(_s_poly(heads[i], heads[j], lcm), heads, order)
+        r = _reduce(_s_poly(heads[i], heads[j], lcm), heads, order)[0]
         if r:
-            heads.append(_head(*r.leading(order), r))
+            heads.append(_head(next(iter(r)), _primitive(r)))
+            partners.append(set())
             new = len(heads) - 1
             for k in range(new):
                 push(new, k)
@@ -483,18 +538,25 @@ def groebner(generators, order=GREVLEX):
     # stable sort keeps the first), and a divisor of a monomial is never
     # larger than it, so only the kept heads can act on the others' terms
     reduced = []
-    for lm, mask, _, _, g in sorted(heads, key=lambda h: key(h[0])):
+    out = []
+    for lm, mask, _, lc, tail in sorted(heads, key=lambda h: key(h[0])):
         if not any(
             not kmask & ~mask and all(map(le, km, lm)) for km, kmask, _, _, _ in reduced
         ):
-            reduced.append(_head(lm, ONE, _divide(g, reduced, order).monic(order)))
-    return [g for _, _, _, _, g in reduced]
+            r = _reduce({lm: lc, **dict(tail)}, reduced, order)[0]
+            reduced.append(_head(lm, _primitive(r)))
+            lc = r[lm]
+            g = Poly.__new__(Poly)
+            g.arity = arity
+            g.terms = {m: rat(c, lc) for m, c in r.items()}
+            out.append(g)
+    return out
 
 
 class Ideal:
     """Ideal given by generators, with cached reduced Gröbner bases per order."""
 
-    __slots__ = ("arity", "generators", "_gb")
+    __slots__ = ("arity", "generators", "_gb", "_heads")
 
     def __init__(self, arity, generators=()):
         self.arity = arity
@@ -508,6 +570,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb = {}
+        self._heads = {}  # order -> the divisor heads of _gb[order]
 
     @classmethod
     def with_grevlex_basis(cls, arity, basis):
@@ -525,6 +588,12 @@ class Ideal:
         if order not in self._gb:
             self._gb[order] = tuple(groebner(self.generators, order))
         return list(self._gb[order])
+
+    def _divisors(self, order):
+        """The reduced basis under order as divisors, built once."""
+        if order not in self._heads:
+            self._heads[order] = _heads(self.groebner(order), order)
+        return self._heads[order]
 
     def is_zero(self):
         return not self.generators
@@ -559,7 +628,8 @@ def ideal_member(f, ideal):
         raise ValueError("arity mismatch")
     if not f:
         return True
-    return not normal_form(f, ideal.groebner(GREVLEX), GREVLEX)
+    p = _clear(f.terms)[0]
+    return not _reduce(p, ideal._divisors(GREVLEX), GREVLEX)[0]
 
 
 def ideal_equal(a, b):

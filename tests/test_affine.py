@@ -9,7 +9,8 @@ from zclosure.affine import (
     strongest_invariant,
 )
 from zclosure.closure import implicitize
-from zclosure.errors import NonInvertibleUpdate
+from zclosure import poly
+from zclosure.errors import NonInvertibleUpdate, ResourceLimit
 from zclosure.linalg import QMatrix
 from zclosure.poly import GREVLEX, Poly, groebner, ideal_member
 from zclosure._rat import rat
@@ -50,6 +51,16 @@ class TestHomogenization:
         with pytest.raises(NonInvertibleUpdate) as err:
             affine_to_generators(AffineProgram(1, [(qm([[0]]), [rat(1)])]))
         assert err.value.index == 0
+
+    def test_first_non_invertible_update_is_named(self):
+        updates = [(qm([[2]]), [rat(0)]), (qm([[0]]), [rat(1)]), (qm([[0]]), [rat(0)])]
+        with pytest.raises(NonInvertibleUpdate) as err:
+            affine_to_generators(AffineProgram(1, updates))
+        assert err.value.index == 1
+        assert str(err.value) == (
+            "update 1 is not invertible; non-invertible updates need a "
+            "semigroup closure, which is outside the group engine"
+        )
 
 
 class TestStrongestInvariant:
@@ -96,6 +107,17 @@ class TestStrongestInvariant:
                 for g in ideal.generators:
                     assert g.evaluate(point) == 0
                 state = a * state
+
+    def test_pair_schedule_on_conjugated_rotation(self, monkeypatch):
+        # [[0, -1], [1, 0]] conjugated by [[2, 1], [1, 1]]: its elimination
+        # treats exactly 233 S-pairs, so a change in pair selection or pruning
+        # shows as a raise or as a different basis
+        program = AffineProgram(2, [(qm([[-3, -2], [5, 3]]), [rat(0), rat(0)])])
+        monkeypatch.setattr(poly, "MAX_S_PAIRS", 233)
+        assert len(strongest_invariant(program, 2).generators) == 6
+        monkeypatch.setattr(poly, "MAX_S_PAIRS", 232)
+        with pytest.raises(ResourceLimit, match="^S-pair budget 232 exceeded$"):
+            strongest_invariant(program, 2)
 
     def test_soundness_random_executions(self):
         programs = [

@@ -261,3 +261,58 @@ def test_same_pairs_treated(order, monkeypatch):
             with pytest.raises(ResourceLimit, match=f"^S-pair budget {treated - 1} exceeded$"):
                 groebner(gens, order)
     assert pruned["coprime"] and pruned["chain"]
+
+
+# --- non-unit leading coefficients: fraction-free division scales the
+# dividend by L/gcd(L, c) at each step, so the leading coefficients here are
+# negative, non-unit, or over coprime denominators up to about 50
+
+
+def rational_poly(rng, arity, max_degree, terms):
+    out = {}
+    for _ in range(terms):
+        mono = [0] * arity
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(arity)] += 1
+        den = rng.choice([1, 3, 5, 7, 9, 35, 45, 49])
+        out[tuple(mono)] = rat(rng.choice([-12, -7, -2, -1, 1, 2, 7, 12, 25]), den)
+    return Poly(arity, out)
+
+
+def _stores_no_zero(polys):
+    return all(all(p.terms.values()) for p in polys)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+def test_non_unit_leading_coefficients(order):
+    rng = random.Random(f"lc:{order!r}")
+    units = proper = 0
+    for _ in range(30):
+        arity = rng.choice([4, 5])
+        basis = [rational_poly(rng, arity, 3, rng.randint(2, 4)) for _ in range(rng.randint(1, 3))]
+        units += sum(abs(g.leading(order)[1]) == 1 for g in basis)
+        f = rational_poly(rng, arity, 5, rng.randint(3, 8))
+        mine = normal_form(f, basis, order)
+        assert mine.terms == reference_normal_form(f, basis, order).terms, (f, basis)
+        basis_gb = groebner(basis[:2], order)
+        assert _terms(basis_gb) == _terms(reference_groebner(basis[:2], order)), basis
+        assert _stores_no_zero([mine, *basis_gb])
+        proper += basis_gb != [Poly.const(arity, 1)]
+    assert units < 15  # nearly every divisor has a non-unit leading coefficient
+    assert proper >= 20
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+def test_named_leading_coefficients(order):
+    x, y, z = (Poly.variable(i, 3) for i in range(3))
+    basis = [
+        rat(7, 5) * x**2 - rat(12, 35) * y * z + 1,
+        rat(-12, 35) * x * y + rat(2, 45) * z**2,
+        rat(2, 45) * y**2 - rat(7, 5) * x,
+    ]
+    f = rat(3, 7) * x**3 * y + rat(-2, 9) * x * y * z**2 + rat(5, 49) * y**3
+    mine = normal_form(f, basis, order)
+    assert mine.terms == reference_normal_form(f, basis, order).terms
+    gb = groebner(basis, order)
+    assert _terms(gb) == _terms(reference_groebner(basis, order))
+    assert _stores_no_zero([mine, *gb])
