@@ -3,17 +3,17 @@
 Characteristic and minimal polynomials, semisimplicity and unipotence
 tests, the Jordan-Chevalley decomposition (computed by Newton iteration on
 the squarefree part of the characteristic polynomial, entirely in rational
-matrix arithmetic), truncated logarithm/exponential of unipotents, and
-polynomial matrices: one-parameter subgroups, generic matrices, det, adjugate.
+matrix arithmetic), rational eigenvalues (roots of that squarefree part mod a
+prime, Newton-lifted p-adically past the root bound and tested exactly),
+truncated logarithm/exponential of unipotents, and polynomial matrices:
+one-parameter subgroups, generic matrices, det, adjugate.
 """
 
-import heapq
 import math
 
 from .errors import NotUnipotent, ResourceLimit, SingularMatrix, UnsupportedEigenvalues
 from .linalg import QMatrix
 from .poly import Poly, derivative, uni_divmod, uni_gcd
-from .relations import factor_rational
 from ._rat import ZERO, ONE, rat
 
 __all__ = [
@@ -33,8 +33,9 @@ __all__ = [
     "companion_matrix",
 ]
 
-# Candidates p/q the rational-root search tries per polynomial.
-ROOT_CANDIDATE_BUDGET = 10**4
+# Residues the rational-root search evaluates: each prime it tries, looking
+# for one at which every root is simple, is charged its size.
+ROOT_RESIDUE_BUDGET = 10**6
 
 
 class JCDecomposition:
@@ -302,81 +303,76 @@ def one_parameter(h: QMatrix) -> PolyMatrix:
 def rational_eigenvalues(g: QMatrix):
     """Eigenvalues with multiplicity when the spectrum is rational.
 
-    Raises UnsupportedEigenvalues when the characteristic polynomial has an
-    irrational root.  Rational candidates come from the integer-cleared
-    polynomial via the rational root theorem.
+    Each rational root of the squarefree part of the characteristic
+    polynomial is divided out of it as often as it divides; raises
+    UnsupportedEigenvalues when a factor of positive degree is left.
     """
     chi = char_poly(g)
-    n = g.rows
+    z = Poly.variable(0, 1)
     roots = []
-    p = chi
-    while p.total_degree() > 0:
-        root = _some_rational_root(p)
-        if root is None:
-            raise UnsupportedEigenvalues(
-                "matrix has irrational eigenvalues; the exact engine needs a rational spectrum"
-            )
-        roots.append(root)
-        z = Poly.variable(0, 1)
-        p = uni_divmod(p, z - Poly.const(1, root))[0]
+    for root in _rational_roots(uni_divmod(chi, uni_gcd(chi, derivative(chi)))[0]):
+        linear = z - Poly.const(1, root)
+        quotient, remainder = uni_divmod(chi, linear)
+        while not remainder:
+            chi = quotient
+            roots.append(root)
+            quotient, remainder = uni_divmod(chi, linear)
+    if chi.total_degree() > 0:
+        raise UnsupportedEigenvalues(
+            "matrix has irrational eigenvalues; the exact engine needs a rational spectrum"
+        )
     roots.sort()
     return roots
 
 
-def _divisors(n):
-    """(count, ascending) for the positive divisors of a nonzero integer.
+def _rational_roots(f: Poly):
+    """The rational roots of a squarefree univariate polynomial, by p-adic lifting.
 
-    ascending() yields them in increasing order, one at a time from the
-    bounded factorization, so a search that stops early builds few of them.
-    factor_rational raises ResourceLimit past its trial-division bound.
+    Cleared to integer coefficients c with leading coefficient a, a root u/v
+    in lowest terms has v | a and |a u/v| <= |a| + max |c_i|.  So a u/v is the
+    symmetric residue of a r mod p^k once p^k exceeds twice that bound, where
+    r is the Newton lift of the root u/v mod p, and p is the first odd prime
+    not dividing a at which every root of f mod p is simple.  Raises
+    ResourceLimit once the primes tried sum past ROOT_RESIDUE_BUDGET.
     """
-    exps = factor_rational(n)[1]
-    powers = [(p, p**e) for p, e in exps.items()]
-
-    def ascending():
-        heap, seen = [1], {1}
-        while heap:
-            d = heapq.heappop(heap)
-            yield d
-            for p, top in powers:
-                if d % top and d * p not in seen:  # p's exponent in d is below e
-                    seen.add(d * p)
-                    heapq.heappush(heap, d * p)
-
-    return math.prod(e + 1 for e in exps.values()), ascending
-
-
-def _some_rational_root(p: Poly):
-    """A rational root of a univariate rational polynomial, or None.
-
-    Raises ResourceLimit once ROOT_CANDIDATE_BUDGET candidates failed.
-    """
-    coeffs = {}
-    denom_lcm = 1
-    for (e,), c in p.terms.items():
-        coeffs[e] = c
-        d = int(c.denominator)
-        denom_lcm = denom_lcm * d // math.gcd(denom_lcm, d)
-    ints = {e: int(c * denom_lcm) for e, c in coeffs.items()}
-    if not ints:
-        return None
-    deg = max(ints)
-    lead = ints[deg]
-    low = min(ints)
-    if low > 0:
-        return ZERO  # x^low divides p
-    (q_count, qs), (p_count, ps) = _divisors(lead), _divisors(ints[0])
-    candidates = ((q, pnum, sign) for q in qs() for pnum in ps() for sign in (1, -1))
-    for tried, (q, pnum, sign) in enumerate(candidates):
-        if tried == ROOT_CANDIDATE_BUDGET:
+    denom = math.lcm(*(int(q.denominator) for q in f.terms.values()))
+    c = [0] * (f.total_degree() + 1)  # constant first
+    for (e,), q in f.terms.items():
+        c[e] = int(q * denom)
+    dc = [i * ci for i, ci in enumerate(c)][1:]
+    a = c[-1]
+    p = 1
+    spent = 0
+    while True:
+        p += 2
+        while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            p += 2
+        spent += p
+        if spent > ROOT_RESIDUE_BUDGET:
             raise ResourceLimit(
-                f"rational-root search exceeded its budget of {ROOT_CANDIDATE_BUDGET} "
-                f"candidates ({2 * q_count * p_count} in all)"
+                f"rational-root search exceeded its budget of {ROOT_RESIDUE_BUDGET} residues "
+                f"(primes up to {p})"
             )
-        cand = rat(sign * pnum, q)
-        if p.evaluate([cand]) == 0:
-            return cand
-    return None
+        if a % p:
+            cp = [ci % p for ci in c]
+            lifted = [r for r in range(p) if not _eval_mod(cp, r, p)]
+            if all(_eval_mod(dc, r, p) for r in lifted):
+                break
+    bound = 2 * (abs(a) + max(map(abs, c)))
+    m = p
+    while m <= bound:
+        m *= m
+        lifted = [(r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m for r in lifted]
+    candidates = (rat(s - m if s > m // 2 else s, a) for s in (a * r % m for r in lifted))
+    return [q for q in candidates if not f.evaluate([q])]
+
+
+def _eval_mod(c, x, m):
+    """Horner value mod m of the integer polynomial c, constant first."""
+    acc = 0
+    for ci in reversed(c):
+        acc = (acc * x + ci) % m
+    return acc
 
 
 def companion_matrix(coeffs):

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zclosure import structure
 from zclosure.cli import cli_main
 from zclosure.jsonio import SCHEMAS
 
@@ -346,7 +348,7 @@ def test_bare_generator_list_is_input_error(capsys):
 
 def _scaled_diagonal(n):
     """diag(720720 i) for i = 1..n as a --matrix literal: 720720 has 240
-    divisors, so each eigenvalue's rational-root search has many candidates."""
+    divisors, so a divisor search of the rational roots has many candidates."""
     return json.dumps([[str(720720 * (i + 1)) if i == j else "0" for j in range(n)] for i in range(n)])
 
 
@@ -395,32 +397,66 @@ class TestRelationsCommand:
         assert "work budget" in err
         assert time.perf_counter() - start < 2
 
-    def test_many_root_candidates_hit_search_budget(self, capsys):
-        # x^2 + c/720720: 2 * 240 * 512 rational-root candidates, none a root
+    def test_many_root_candidates_irrational_spectrum_is_input_error(self, capsys):
+        # x^2 + c/720720: 2 * 240 * 512 divisor candidates p/q, none a root
         c = 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
         start = time.perf_counter()
         code, out, err = run(
             capsys, "relations", "--matrix", json.dumps([["0", f"-{c}/720720"], ["1", "0"]])
         )
-        assert code == 3
-        assert "budget of 10000 candidates" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: matrix has irrational eigenvalues; the exact engine needs a rational spectrum\n"
+        )
         assert time.perf_counter() - start < 1
 
-    def test_root_search_builds_only_the_divisors_it_tries(self, capsys):
-        # diag(720720 i), i = 1..8: the first search has 2916480 candidates;
-        # building every divisor before the first try peaked at 420 MB RSS
+    def test_scaled_diagonal_of_eight_answers_fast_in_little_memory(self, capsys):
+        # diag(720720 i), i = 1..8: 2916480 divisor quotients p/q are
+        # candidate roots of the first factor, so no enumeration of them fits
+        start = time.perf_counter()
         tracemalloc.start()
         try:
-            code, out, err = run(capsys, "relations", "--matrix", _scaled_diagonal(8))
+            code, out, err = run(
+                capsys, "relations", "--matrix", _scaled_diagonal(8), "--format", "json"
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert json.loads(out)["eigenvalues"] == [str(720720 * i) for i in range(1, 9)]
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("budget", [55, 56])
+    def test_root_search_charges_each_prime_tried(self, capsys, monkeypatch, budget):
+        # every root of diag(720720 i) is 0 mod 3, 5, 7, 11 and 13, so the
+        # search charges 3 + 5 + 7 + 11 + 13 + 17 = 56 before 17 separates them
+        monkeypatch.setattr(structure, "ROOT_RESIDUE_BUDGET", budget)
+        code, out, err = run(capsys, "relations", "--matrix", _scaled_diagonal(4))
+        if budget == 56:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out) == (3, "")
+            assert err == (
+                "resource limit: rational-root search exceeded its budget of 55 residues "
+                "(primes up to 17)\n"
+            )
+
+    def test_roots_colliding_mod_every_small_prime_hit_residue_budget(self, capsys):
+        # diag(1, 1 + P), P the product of the odd primes below 5000: the two
+        # roots agree mod each of them, which sum past 10^6
+        primes = [p for p in range(3, 5000, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+        big = 1 + math.prod(primes)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "relations", "--matrix", json.dumps([["1", "0"], ["0", str(big)]])
+        )
         assert (code, out) == (3, "")
         assert err == (
-            "resource limit: rational-root search exceeded its budget of 10000 "
-            "candidates (2916480 in all)\n"
+            "resource limit: rational-root search exceeded its budget of 1000000 residues "
+            "(primes up to 3943)\n"
         )
-        assert peak < 20 * 2**20
+        assert time.perf_counter() - start < 2
 
     def test_scaled_diagonal_eigenvalues(self, capsys):
         payload = run_json(capsys, "relations", "--matrix", _scaled_diagonal(4))

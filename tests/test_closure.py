@@ -700,6 +700,19 @@ class TestCyclicSemisimple:
         engine = invariants_up_to_degree(GeneratorSet([g]), 3)
         assert ideal_equal(ideal, engine.ideal)
 
+    def test_scaled_spectrum_under_unimodular_base(self):
+        # eigenvalues 720720 i, i = 5..8: 378000 divisor quotients p/q are
+        # candidate roots, so no enumeration of them fits
+        n = 4
+        p = QMatrix(n, n, [rat(int(j in (i, i + 1))) for i in range(n) for j in range(n)])
+        g = p * QMatrix.diagonal([rat(720720 * i) for i in range(5, 9)]) * p.inverse()
+        ideal = closure_cyclic_semisimple(g)
+        assert len(ideal.generators) == 13
+        for k in range(-2, 3):
+            point = gl_embed(g**k)
+            for f in ideal.generators:
+                assert f.evaluate(point) == 0
+
     def test_engine_agreement_on_diagonals(self):
         rng = random.Random(23)
         for _ in range(6):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from zclosure.errors import NotUnipotent, SingularMatrix, UnsupportedEigenvalues
@@ -341,3 +342,77 @@ class TestRationalEigenvalues:
             rational_eigenvalues(qm([[0, -1], [1, 0]]))
         with pytest.raises(UnsupportedEigenvalues):
             rational_eigenvalues(companion_matrix([-2, 0]))
+
+
+def random_unimodular(rng, n):
+    """Product of unit lower and unit upper triangular integer matrices."""
+
+    def unit_triangular(below):
+        return QMatrix(n, n, [
+            rat(1 if i == j else rng.randint(-3, 3) if (i > j) == below else 0)
+            for i in range(n)
+            for j in range(n)
+        ])
+
+    return unit_triangular(True) * unit_triangular(False)
+
+
+def planted_spectrum(rng, n):
+    """n rationals drawn with repeats from a pool holding zero, negatives and
+    denominators up to 720720."""
+    denominators = [1, 1, 2, 9, 16, 720, 720720]
+    pool = [rat(rng.randint(-40, 40), rng.choice(denominators)) for _ in range(n // 2 + 1)]
+    return sorted(rng.choice(pool + [rat(0)]) for _ in range(n))
+
+
+def sympy_rational_roots(g):
+    """The rational roots of g's characteristic polynomial with multiplicity, by sympy."""
+    z = sympy.Symbol("z")
+    m = sympy.Matrix(g.rows, g.cols, [sympy.Rational(str(e)) for e in g.entries])
+    found = sympy.roots(m.charpoly(z).as_expr(), z, filter="Q")
+    return sorted(rat(str(r)) for r, k in found.items() for _ in range(k))
+
+
+class TestRationalEigenvaluesAgainstSympy:
+    """Each matrix is conjugated by a unimodular base.  Where sympy finds n
+    rational roots of the characteristic polynomial, counted with
+    multiplicity, they are the eigenvalues; where it finds fewer,
+    rational_eigenvalues raises UnsupportedEigenvalues."""
+
+    @staticmethod
+    def check(g):
+        want = sympy_rational_roots(g)
+        if len(want) == g.rows:
+            assert rational_eigenvalues(g) == want
+        else:
+            with pytest.raises(UnsupportedEigenvalues):
+                rational_eigenvalues(g)
+        return len(want) == g.rows
+
+    def test_planted_spectra(self):
+        rng = random.Random(25)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            values = planted_spectrum(rng, n)
+            # a Jordan block joins some equal neighbours: g is then not semisimple
+            block = [values[i] == values[i + 1] and rng.random() < 0.5 for i in range(n - 1)]
+            entries = [
+                values[i] if i == j else rat(int(j == i + 1 and block[i]))
+                for i in range(n)
+                for j in range(n)
+            ]
+            u = random_unimodular(rng, n)
+            assert self.check(u * QMatrix(n, n, entries) * u.inverse())
+
+    def test_companions_with_a_quadratic_factor(self):
+        rng = random.Random(26)
+        rational = []
+        for _ in range(100):
+            # (z^2 - k) times planted linear factors; k a square in some draws
+            poly = x() ** 2 - rng.choice([-3, -1, 0, 1, 2, 4, 5, 9, rat(1, 4), rat(3, 16)])
+            for value in planted_spectrum(rng, rng.randint(0, 3)):
+                poly = poly * (x() - value)
+            coeffs = [poly.terms.get((i,), rat(0)) for i in range(poly.total_degree())]
+            u = random_unimodular(rng, len(coeffs))
+            rational.append(self.check(u * companion_matrix(coeffs) * u.inverse()))
+        assert True in rational and False in rational
