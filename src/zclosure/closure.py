@@ -238,11 +238,15 @@ def _int_product(g, w, n):
     """The element g·w of two (H, D, a, b) elements, in lowest terms."""
     gh, gd, ga, gb = g
     wh, wd, wa, wb = w
-    h = [
-        sum(gh[i * n + k] * wh[k * n + j] for k in range(n))
-        for i in range(n)
-        for j in range(n)
-    ]
+    cols = [wh[j::n] for j in range(n)]
+    h = []
+    for i in range(0, n * n, n):
+        row = gh[i : i + n]
+        for col in cols:
+            x = 0
+            for p, q in zip(row, col):
+                x += p * q
+            h.append(x)
     den = gd * wd
     c = gcd(den, *h)
     a, b = ga * wa, gb * wb
@@ -277,11 +281,17 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     over (basis vector, generator) pairs in insertion order, so the witness
     words and the resulting basis are reproducible; words[i] lists the
     generators applied, first to last.
+    Records are in lowest terms with D, b > 0, so equal elements have equal
+    records, and a product whose record was tried before (the identity
+    included) is skipped before it is lifted: the span only grows, so it
+    already holds that lift.  Each distinct element is tried once, and a
+    finite group of order N costs at most N insertions.
     A row's pivot is its first nonzero column, in ascending grevlex, so the
     free column of each kernel vector is its grevlex leading monomial.
     Raises ResourceLimit
     before building anything when C(m + d, d), which also bounds the span's
-    dimension, exceeds MAX_COORDINATES.
+    dimension, exceeds MAX_COORDINATES, and from the echelon past
+    linalg.ECHELON_WORK_BITS.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -296,10 +306,14 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     echelon.insert(_scaled_lift(identity, d))
     elements = [identity]
     words = [()]
+    tried = {identity}
     queue = deque((0, gi) for gi in range(len(gens)))
     while queue:
         vi, gi = queue.popleft()
         h = _int_product(gens[gi], elements[vi], n)
+        if h in tried:
+            continue
+        tried.add(h)
         if echelon.insert(_scaled_lift(h, d)):
             elements.append(h)
             words.append(words[vi] + (gi,))
@@ -528,22 +542,30 @@ def is_group_variety(ideal: Ideal, n: int) -> bool:
 def auto_closure(generators: GeneratorSet, max_d: int) -> ClosureResult:
     """Iterative deepening until the degree-d ideal stabilizes.
 
-    Stops at the first d with V_d = V_{d+1} (as ideals) whose variety passes
-    the group certificate; the certificate is heuristic, which the result's
-    certified field records.  A degree-d span with no pivot of degree d
-    (span.certifies_finite), d = max_d included, stops there before the
-    degree d + 1 span is built: its closure is finite and V_d is the whole
-    closure ideal, so V_d = V_{d+1} and that variety is a group.
+    Stops at the first d with V_d = V_{d+1} (as ideals) that contains
+    y·det - 1 and whose variety passes the group certificate; the
+    certificate is heuristic, which the result's certified field records.
+    Every closure ideal contains y·det - 1, so an ideal without it is not
+    the closure's, however stable: for a group dense in GL_n, n >= 2, the
+    ideals of degree below n + 1 are all zero, and V(0) ∩ GL_n is a group.
+    A degree-d span with no pivot of degree d (span.certifies_finite),
+    d = max_d included, stops there before the degree d + 1 span is built:
+    its closure is finite and V_d is the whole closure ideal, so
+    V_d = V_{d+1} and that variety is a group.
     """
     if max_d < 1:
         raise ValueError("max degree must be at least 1")
+    n = generators.n
+    m = n * n + 1
+    det_relation = PolyMatrix.generic(n, m).det() * Poly.variable(m - 1, m) - 1
     previous = None
     for d in range(1, max_d + 1):
         current = invariants_up_to_degree(generators, d)
         if (
             previous is not None
             and ideal_equal(previous.ideal, current.ideal)
-            and is_group_variety(previous.ideal, generators.n)
+            and ideal_member(det_relation, previous.ideal)
+            and is_group_variety(previous.ideal, n)
         ):
             return previous
         if current.span.certifies_finite:

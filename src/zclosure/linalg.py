@@ -4,8 +4,9 @@ Matrices are immutable and dense, entries are reduced fractions, and every
 operation is exact.  One incremental echelon form, EchelonBasis, whose rows
 are stored sparsely as integer numerators over one denominator each, serves
 the span fixed point, rref, rank, kernels, inverses and determinants; its
-arithmetic is on Python ints only, and it hands out RAT values.  row_hnf
-serves integer kernels, under the work budget HNF_WORK_BITS.
+arithmetic is on Python ints only, under the work budget ECHELON_WORK_BITS,
+and it hands out RAT values.  row_hnf serves integer kernels, under the work
+budget HNF_WORK_BITS.
 """
 
 from math import gcd, lcm
@@ -20,6 +21,7 @@ __all__ = [
     "row_hnf",
     "integer_kernel",
     "HNF_WORK_BITS",
+    "ECHELON_WORK_BITS",
 ]
 
 # row_hnf charges each row update the row width times the bit lengths of its
@@ -27,6 +29,15 @@ __all__ = [
 # The relation lattice of 100 rationals over six primes charges 4.6·10^8;
 # on 400 of them the budget trips after about two seconds.
 HNF_WORK_BITS = 2 * 10**9
+
+# EchelonBasis charges every reduction of a vector, and every back-substitution
+# of a new row, the size of its stored rows: the sum of len(tail) times the
+# bit length of den over the rows.  It stops past this total.  The largest
+# echelon of the test suite charges 1.6·10^7 (SS3 conjugated, d = 5); the SL2
+# span charges 2.2·10^7 at d = 6 and 2.6·10^8 at d = 7; the degree-3 span of
+# two random 3x3 integer matrices, whose rows grow to thousands of bits,
+# charges about 3·10^8 per second and stops after about two seconds.
+ECHELON_WORK_BITS = 5 * 10**8
 
 
 class QMatrix:
@@ -308,14 +319,17 @@ class EchelonBasis:
     The pivot entry is 1 and not stored, and no stored numerator is zero, so
     reduction touches only stored nonzeros.  Inserted and reduced vectors
     may hold ints or rationals; their denominators are cleared once on entry
-    and all further arithmetic is on ints (fraction-free elimination in the
-    spirit of Bareiss 1968).  rows, rref_rows, kernel and reduce return RAT
-    values, built on access; rows is in insertion order.  Each kernel vector
-    is one at its free column and nonzero elsewhere only at earlier pivot
-    columns.
+    (an all-int vector is copied as it is) and all further arithmetic is on
+    ints (fraction-free elimination in the spirit of Bareiss 1968).  Each
+    reduction of a vector and each back-substitution of a new row is first
+    charged the size of the stored rows, kept as a running total, and
+    ResourceLimit is raised past ECHELON_WORK_BITS before any row changes.
+    rows, rref_rows, kernel and reduce return RAT values, built on access;
+    rows is in insertion order.  Each kernel vector is one at its free
+    column and nonzero elsewhere only at earlier pivot columns.
     """
 
-    __slots__ = ("length", "pivots", "_tails", "_dens", "_pivot_of")
+    __slots__ = ("length", "pivots", "_tails", "_dens", "_pivot_of", "_size", "_work")
 
     def __init__(self, length):
         self.length = length
@@ -323,6 +337,14 @@ class EchelonBasis:
         self._tails = []
         self._dens = []
         self._pivot_of = {}
+        self._size = 0  # sum of len(tail) * den.bit_length() over the rows
+        self._work = 0
+
+    def _charge(self):
+        """Charge one pass over the stored rows against ECHELON_WORK_BITS."""
+        self._work += self._size
+        if self._work > ECHELON_WORK_BITS:
+            raise ResourceLimit(f"echelon form exceeded its work budget of {ECHELON_WORK_BITS} bits")
 
     def __len__(self):
         return len(self._tails)
@@ -347,13 +369,14 @@ class EchelonBasis:
         lcm of the reduced row denominators that occur, keeps every step on
         ints.
         """
+        self._charge()
         # star-arguments come from lists: CPython builds a tuple from an
         # iterator at a guessed size and shrinks it, and shrunk tuples stay
         # on its free lists until a full collection, which raises peak memory
-        s = lcm(*[x.denominator for x in vector])
-        if s == 1:
-            v = list(map(int, vector))
+        if set(map(type, vector)) == {int}:
+            v, s = list(vector), 1
         else:
+            s = lcm(*[x.denominator for x in vector])
             v = [int(x.numerator) * (s // int(x.denominator)) for x in vector]
         hits = [
             (p, tail, den, v[p])
@@ -391,10 +414,13 @@ class EchelonBasis:
         if content != 1:
             new = {j: x // content for j, x in new.items()}
         # row k becomes row k - (a / den_k) * new row, in lowest terms
+        self._charge()
+        size = self._size
         for k, tail in enumerate(self._tails):
             a = tail.pop(pivot, None)
             if a is None:
                 continue
+            size -= (len(tail) + 1) * self._dens[k].bit_length()
             if den != 1:
                 for j in tail:
                     tail[j] *= den
@@ -412,6 +438,8 @@ class EchelonBasis:
                     for j in tail:
                         tail[j] //= g
             self._dens[k] = dk
+            size += len(tail) * dk.bit_length()
+        self._size = size + len(new) * den.bit_length()
         self._pivot_of[pivot] = len(self._tails)
         self.pivots.append(pivot)
         self._tails.append(new)

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclosure import structure
+from zclosure import linalg, structure
 from zclosure.cli import cli_main
 from zclosure.jsonio import SCHEMAS
 
@@ -126,6 +126,45 @@ class TestClosureCommand:
         assert code == 3
         assert "10272278170 monomial coordinates" in err
         assert time.perf_counter() - start < 1
+
+    def test_auto_dense_in_gl2_stops_at_the_det_relation(self, capsys):
+        # the ideals of degree 1 and 2 are zero and V(0) ∩ GL_2 is a group,
+        # but only an ideal with y·det - 1 can be the closure's
+        gens = {"n": 2, "generators": [[["2", "1"], ["1", "3"]], [["1", "1"], ["0", "1"]]]}
+        payload = run_json(
+            capsys, "closure", "--generators", json.dumps(gens), "--auto", "--max-degree", "4"
+        )
+        assert payload["degree"] == 3
+        assert payload["ideal"]["text"] == ["x12*x21*y - x11*x22*y + 1"]
+
+    @pytest.mark.parametrize(
+        "argv", [["--degree", "3"], ["--auto", "--max-degree", "4"]], ids=["degree", "auto"]
+    )
+    def test_dense_span_hits_echelon_work_budget(self, capsys, argv):
+        # unbudgeted, the degree-3 span took 526 s: the echelon's numerators
+        # and denominators grow to thousands of bits; --auto reaches the same
+        # span, as these generators are dense in GL_3
+        gens = {
+            "n": 3,
+            "generators": [
+                [["2", "-1", "2"], ["-12", "-3", "0"], ["0", "3", "1"]],
+                [["-2", "2", "2"], ["-2", "-2", "0"], ["-1", "-2", "-1"]],
+            ],
+        }
+        start = time.perf_counter()
+        code, out, err = run(capsys, "closure", "--generators", json.dumps(gens), *argv)
+        assert code == 3
+        assert err == (
+            "resource limit: echelon form exceeded its work budget of "
+            f"{linalg.ECHELON_WORK_BITS} bits\n"
+        )
+        assert time.perf_counter() - start < 10
+
+    def test_echelon_work_budget_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "ECHELON_WORK_BITS", 100)
+        code, out, err = run(capsys, "closure", "--generators", json.dumps(SL2), "--degree", "2")
+        assert code == 3
+        assert err == "resource limit: echelon form exceeded its work budget of 100 bits\n"
 
     def test_exponent_budget(self, capsys):
         # 10^(10^7) would be a 33M-bit integer before any engine budget applies

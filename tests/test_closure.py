@@ -831,6 +831,17 @@ class TestAutoClosure:
         with pytest.raises(NoStabilization):
             auto_closure(sl2_generators(), 1)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_result_contains_det_relation(self, seed):
+        # every closure ideal contains y·det - 1; stopping on a stable ideal
+        # that passes the group certificate alone gives the zero ideal at
+        # degree 1 on every seed here but 1
+        rng = random.Random(seed)
+        G = GeneratorSet([random_invertible(rng, 2) for _ in range(rng.randint(1, 2))])
+        res = auto_closure(G, 4)
+        x11, x12, x21, x22, y = glvars()
+        assert ideal_member(y * (x11 * x22 - x12 * x21) - 1, res.ideal)
+
     @pytest.mark.parametrize(
         "seed,gens",
         [
