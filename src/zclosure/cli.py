@@ -21,6 +21,7 @@ from .bounds import (
     closure_degree_bound,
 )
 from .closure import (
+    SCHREIER_MEMBERS,
     auto_closure,
     closure_unipotent_product,
     invariants_up_to_degree,
@@ -208,19 +209,9 @@ def _report_output(report, fmt):
     return None, report.pretty()
 
 
-_MEMBERS = {
-    "det1": lambda g: g.det() == 1,
-    "identity": lambda g: g.is_identity(),
-    "all": lambda g: True,
-}
-
-
 def _cmd_schreier(args):
     gens = generators_from_json(_load_json(args.generators))
-    member = _MEMBERS[args.member]
-    out = schreier_generators(
-        gens, member, args.index_bound, length_cap=args.length_cap
-    )
+    out = schreier_generators(gens, args.member, args.index_bound, length_cap=args.length_cap)
     payload = {"count": len(out), "matrices": [matrix_to_json(g) for g in out]}
     text = [f"{len(out)} subgroup generators"]
     for m in payload["matrices"]:
@@ -276,7 +267,7 @@ def build_parser():
     p = add("schreier", _cmd_schreier, "generators of a finite-index subgroup")
     p.add_argument("--generators", required=True)
     p.add_argument("--index-bound", type=int, required=True)
-    p.add_argument("--member", choices=sorted(_MEMBERS), default="det1")
+    p.add_argument("--member", choices=sorted(SCHREIER_MEMBERS), default="det1")
     p.add_argument("--length-cap", type=int)
 
     return parser

@@ -34,7 +34,7 @@ from .poly import (
 )
 from .relations import lattice_to_binomial_ideal, rational_relation_lattice
 from .structure import PolyMatrix, is_semisimple, one_parameter, rational_eigenvalues
-from ._rat import ONE
+from ._rat import ONE, rat
 
 __all__ = [
     "GeneratorSet",
@@ -62,45 +62,42 @@ MAX_COORDINATES = 10**5
 # Most distinct products schreier_generators enumerates before it raises.
 MAX_SCHREIER_PRODUCTS = 200_000
 
-# Most numerator plus denominator bits, over the entries of all distinct
-# products, schreier_generators stores before it raises; above the 7.2 * 10^6
-# bits of 200_000 3x3 products with 2-bit integer entries.  [[2]] reaches it
-# at word length about 3200, in about a second.
+# Most bits of reduced numerators and denominators, over the entries of all
+# distinct products, schreier_generators stores before it raises: 200_000 3x3
+# products with 2-bit integer entries hold 5.4 * 10^6, and [[2]] reaches it at
+# word length about 3200, in about 0.1 s.
 MAX_SCHREIER_BITS = 10**7
 
 
 class GeneratorSet:
-    """Finite set of invertible rational matrices, closed copy with inverses."""
+    """Finite set of invertible rational matrices, closed copy with inverses.
 
-    __slots__ = ("n", "gens", "with_inverses", "inverse_dets")
+    elements[i] is the (H, D, a, b) record (_int_element) of with_inverses[i],
+    the form in which the span and the Schreier enumeration multiply."""
+
+    __slots__ = ("n", "gens", "with_inverses", "elements")
 
     def __init__(self, gens):
         gens = tuple(gens)
         if not gens:
             raise ValueError("need at least one generator")
         n = gens[0].rows
-        dets = []
+        ordered = {}  # record -> matrix; records in lowest terms are equal iff the matrices are
+        inverses = []
         for g in gens:
             if not g.is_square or g.rows != n:
                 raise ValueError("generators must be square of equal size")
             det = g.det()
             if not det:
                 raise SingularMatrix("generators must be invertible")
-            dets.append(det)
+            ordered.setdefault(_int_element(g, ONE / det), g)
+            inverses.append((g.inverse(), det))
+        for g, y in inverses:
+            ordered.setdefault(_int_element(g, y), g)
         self.n = n
         self.gens = gens
-        seen = {}
-        ordered = []
-        inverse_dets = []  # 1/det of each element of with_inverses
-        candidates = [(g, ONE / det) for g, det in zip(gens, dets)]
-        candidates += [(g.inverse(), det) for g, det in zip(gens, dets)]
-        for g, y in candidates:
-            if g.entries not in seen:
-                seen[g.entries] = True
-                ordered.append(g)
-                inverse_dets.append(y)
-        self.with_inverses = tuple(ordered)
-        self.inverse_dets = tuple(inverse_dets)
+        self.with_inverses = tuple(ordered.values())
+        self.elements = tuple(ordered)
 
     def __repr__(self):
         return f"GeneratorSet(n={self.n}, {len(self.gens)} generators)"
@@ -226,12 +223,13 @@ class ClosureResult:
 def _int_element(g: QMatrix, y):
     """g as (H, D, a, b): g = H / D and y = 1/det g = a / b, each in lowest terms, D, b > 0."""
     den = lcm(*(int(e.denominator) for e in g.entries))
-    return (
-        tuple(int(e.numerator) * (den // int(e.denominator)) for e in g.entries),
-        den,
-        int(y.numerator),
-        int(y.denominator),
-    )
+    h = tuple(int(e.numerator) * (den // int(e.denominator)) for e in g.entries)
+    return h, den, int(y.numerator), int(y.denominator)
+
+
+def _identity_element(n):
+    """The (H, D, a, b) record of the n x n identity."""
+    return tuple(int(i == j) for i in range(n) for j in range(n)), 1, 1, 1
 
 
 def _int_product(g, w, n):
@@ -274,13 +272,13 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     """Span of the monomial lifts of the generated group, saturated from the identity.
 
     Each basis vector is the lift of a group element W, kept exactly on ints
-    as (H, D, a, b) with W = H / D and 1/det W = a / b; its image under
-    generator g is the lift of g·W.  The echelon receives an integer vector
-    proportional to each lift, which decides independence and pivots
-    exactly as the lift would; no rational lift is built.  Breadth-first
-    over (basis vector, generator) pairs in insertion order, so the witness
-    words and the resulting basis are reproducible; words[i] lists the
-    generators applied, first to last.
+    as (H, D, a, b) with W = H / D and 1/det W = a / b; its image under the
+    generator record g of generators.elements is the lift of g·W.  The
+    echelon receives an integer vector proportional to each lift, which
+    decides independence and pivots exactly as the lift would; no rational
+    lift is built.  Breadth-first over (basis vector, generator) pairs in
+    insertion order, so the witness words and the resulting basis are
+    reproducible; words[i] lists the generators applied, first to last.
     Records are in lowest terms with D, b > 0, so equal elements have equal
     records, and a product whose record was tried before (the identity
     included) is skipped before it is lifted: the span only grows, so it
@@ -288,10 +286,9 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     finite group of order N costs at most N insertions.
     A row's pivot is its first nonzero column, in ascending grevlex, so the
     free column of each kernel vector is its grevlex leading monomial.
-    Raises ResourceLimit
-    before building anything when C(m + d, d), which also bounds the span's
-    dimension, exceeds MAX_COORDINATES, and from the echelon past
-    linalg.ECHELON_WORK_BITS.
+    Raises ResourceLimit before building anything when C(m + d, d), which
+    also bounds the span's dimension, exceeds MAX_COORDINATES, and from the
+    echelon past linalg.ECHELON_WORK_BITS.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -300,9 +297,9 @@ def lifted_span(generators: GeneratorSet, d: int) -> LiftedBasis:
     size = comb(m + d, d)
     if size > MAX_COORDINATES:
         raise ResourceLimit(f"{size} monomial coordinates exceed the limit {MAX_COORDINATES}")
-    gens = [_int_element(g, y) for g, y in zip(generators.with_inverses, generators.inverse_dets)]
+    gens = generators.elements
     echelon = EchelonBasis(size)
-    identity = _int_element(QMatrix.identity(n), ONE)
+    identity = _identity_element(n)
     echelon.insert(_scaled_lift(identity, d))
     elements = [identity]
     words = [()]
@@ -574,48 +571,58 @@ def auto_closure(generators: GeneratorSet, max_d: int) -> ClosureResult:
     raise NoStabilization(f"no stabilization up to degree {max_d}")
 
 
+# The membership tests of schreier_generators on a record h and the identity's
+# e: 1/det = a / b in lowest terms is 1 exactly when a = b.
+SCHREIER_MEMBERS = {
+    "det1": lambda h, e: h[2] == h[3],
+    "identity": lambda h, e: h == e,
+    "all": lambda h, e: True,
+}
+
+
 def schreier_generators(generators: GeneratorSet, member, index_bound: int, length_cap=None):
     """Generators of a finite-index subgroup via bounded word enumeration.
 
     Enumerates all products of generators and inverses of length at most
     2*index_bound + 1, or length_cap when given (deduplicated), keeping those
-    the membership predicate accepts; stops at the first length that adds
+    SCHREIER_MEMBERS[member] accepts; stops at the first length that adds
     no new product, so a finite group ends the enumeration once it closes.
-    Raises ResourceLimit past MAX_SCHREIER_PRODUCTS distinct products or
-    MAX_SCHREIER_BITS bits in their entries.
+    Products are records of generators.elements, equal exactly when the
+    matrices are; only the accepted ones become QMatrix.  Raises
+    ResourceLimit past MAX_SCHREIER_PRODUCTS distinct products or
+    MAX_SCHREIER_BITS bits of their entries' reduced numerators and denominators.
     """
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
     if length_cap is not None and length_cap < 0:
         raise ValueError("length cap must be nonnegative")
+    accept = SCHREIER_MEMBERS[member]
     cap = length_cap if length_cap is not None else 2 * index_bound + 1
-    identity = QMatrix.identity(generators.n)
-    seen = {identity.entries}
-    ordered = [identity]
+    n = generators.n
+    identity = _identity_element(n)
+    seen = {identity: None}  # insertion-ordered
     frontier = [identity]
     bits = 0
     for _ in range(cap):
         nxt = []
         for w in frontier:
-            for g in generators.with_inverses:
-                prod = w * g
-                if prod.entries not in seen:
-                    seen.add(prod.entries)
+            for g in generators.elements:
+                prod = _int_product(w, g, n)
+                if prod not in seen:
+                    seen[prod] = None
                     if len(seen) > MAX_SCHREIER_PRODUCTS:
                         raise ResourceLimit(
                             f"product enumeration exceeded {MAX_SCHREIER_PRODUCTS} matrices"
                         )
-                    bits += sum(
-                        e.numerator.bit_length() + e.denominator.bit_length()
-                        for e in prod.entries
-                    )
+                    for x in prod[0]:
+                        c = gcd(x, prod[1])
+                        bits += (x // c).bit_length() + (prod[1] // c).bit_length()
                     if bits > MAX_SCHREIER_BITS:
                         raise ResourceLimit(
                             f"product enumeration exceeded {MAX_SCHREIER_BITS} bits of entries"
                         )
-                    ordered.append(prod)
                     nxt.append(prod)
         if not nxt:
             break
         frontier = nxt
-    return [g for g in ordered if member(g)]
+    return [QMatrix(n, n, [rat(x, h[1]) for x in h[0]]) for h in seen if accept(h, identity)]

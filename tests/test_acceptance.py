@@ -308,7 +308,7 @@ def test_criterion_9_schreier(capsys):
     start = time.perf_counter()
     s1 = perm_matrix([1, 0, 2])
     s2 = perm_matrix([0, 2, 1])
-    out = schreier_generators(GeneratorSet([s1, s2]), lambda g: g.det() == 1, 2)
+    out = schreier_generators(GeneratorSet([s1, s2]), "det1", 2)
     generated = enumerate_group(out, 3, cap=64)
     a3 = sorted(perm_matrix(p).entries for p in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
     assert sorted(g.entries for g in generated) == a3  # exactly A3

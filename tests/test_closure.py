@@ -3,6 +3,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -90,7 +91,7 @@ class TestGeneratorSet:
         for g in gens.with_inverses:
             assert g.inverse().entries in mats
 
-    def test_inverse_dets_follow_with_inverses(self):
+    def test_elements_follow_with_inverses(self):
         # an involution is its own inverse and a repeated generator is kept
         # once, so with_inverses is shorter than twice the generators
         rng = random.Random(5)
@@ -98,7 +99,12 @@ class TestGeneratorSet:
         g = random_invertible(rng, 2)
         gens = GeneratorSet([g, swap, g, g.inverse() * 3])
         assert len(gens.with_inverses) == 5
-        assert gens.inverse_dets == tuple(1 / h.det() for h in gens.with_inverses)
+        assert len(gens.elements) == len(set(gens.elements)) == 5
+        for (h, den, a, b), w in zip(gens.elements, gens.with_inverses, strict=True):
+            assert den > 0 and b > 0
+            assert [rat(x, den) for x in h] == list(w.entries)
+            assert rat(a, b) == 1 / w.det()
+            assert math.gcd(den, *h) == 1 and math.gcd(a, b) == 1
 
 
 class TestEmbed:
@@ -883,12 +889,82 @@ class TestAutoClosure:
         assert len(calls) == len(set(calls))
 
 
+def reference_schreier_generators(generators, member, index_bound, length_cap=None):
+    """Frozen copy of the former enumeration: QMatrix products deduplicated by
+    their entries, each charged the numerator and denominator bits of every
+    entry, filtered by a QMatrix predicate."""
+    cap = length_cap if length_cap is not None else 2 * index_bound + 1
+    identity = QMatrix.identity(generators.n)
+    seen = {identity.entries}
+    ordered = [identity]
+    frontier = [identity]
+    bits = 0
+    for _ in range(cap):
+        nxt = []
+        for w in frontier:
+            for g in generators.with_inverses:
+                prod = w * g
+                if prod.entries not in seen:
+                    seen.add(prod.entries)
+                    if len(seen) > closure.MAX_SCHREIER_PRODUCTS:
+                        raise ResourceLimit(
+                            f"product enumeration exceeded {closure.MAX_SCHREIER_PRODUCTS} matrices"
+                        )
+                    bits += sum(
+                        e.numerator.bit_length() + e.denominator.bit_length()
+                        for e in prod.entries
+                    )
+                    if bits > closure.MAX_SCHREIER_BITS:
+                        raise ResourceLimit(
+                            f"product enumeration exceeded {closure.MAX_SCHREIER_BITS} bits of entries"
+                        )
+                    ordered.append(prod)
+                    nxt.append(prod)
+        if not nxt:
+            break
+        frontier = nxt
+    return [g for g in ordered if member(g)]
+
+
+REFERENCE_MEMBERS = {
+    "det1": lambda g: g.det() == 1,
+    "identity": lambda g: g.is_identity(),
+    "all": lambda g: True,
+}
+
+
+def seeded_schreier_input(seed):
+    """A seeded random invertible matrix of size 1 + seed % 3, rational for
+    odd seeds and integer for even ones, with a signed permutation beside it,
+    so that det1 accepts more than the empty word."""
+    rng = random.Random(seed)
+    n = 1 + seed % 3
+    top = 4 if seed % 2 else 1
+    while True:
+        g = QMatrix(n, n, [rat(rng.randint(-3, 3), rng.randint(1, top)) for _ in range(n * n)])
+        if g.det() and (top == 1 or any(e.denominator != 1 for e in g.entries)):
+            break
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    signed = QMatrix(n, n, [rat(signs[i] * int(perm[i] == j)) for i in range(n) for j in range(n)])
+    return GeneratorSet([g, signed])
+
+
+def schreier_outcome(run, *args):
+    """The returned matrices' entries, or the ResourceLimit message."""
+    try:
+        return [g.entries for g in run(*args)]
+    except ResourceLimit as e:
+        return str(e)
+
+
 class TestSchreier:
     def test_a3_from_s3(self):
         s1 = perm_matrix([1, 0, 2])
         s2 = perm_matrix([0, 2, 1])
         S = GeneratorSet([s1, s2])
-        out = schreier_generators(S, lambda g: g.det() == 1, 2)
+        out = schreier_generators(S, "det1", 2)
         generated = enumerate_group(out, 3, cap=200)
         a3 = sorted(
             perm_matrix(p).entries for p in ([0, 1, 2], [1, 2, 0], [2, 0, 1])
@@ -897,30 +973,67 @@ class TestSchreier:
 
     def test_member_everything(self):
         S = sl2_generators()
-        out = schreier_generators(S, lambda g: True, 2)
+        out = schreier_generators(S, "all", 2)
         produced = {g.entries for g in out}
         for g in S.with_inverses:
             assert g.entries in produced
 
     def test_member_identity_only(self):
         rot = qm([[0, -1], [1, 0]])  # order 4
-        out = schreier_generators(GeneratorSet([rot]), lambda g: g.is_identity(), 4)
+        out = schreier_generators(GeneratorSet([rot]), "identity", 4)
         assert len(out) == 1 and out[0].is_identity()
 
     def test_product_cap(self, monkeypatch):
         monkeypatch.setattr(closure, "MAX_SCHREIER_PRODUCTS", 10)
         with pytest.raises(ResourceLimit, match="exceeded 10 matrices"):
-            schreier_generators(sl2_generators(), lambda g: True, 3)
+            schreier_generators(sl2_generators(), "all", 3)
 
     def test_size_cap(self, monkeypatch):
         # the 1132 products of words of length <= 7 hold 16280 entry bits
         monkeypatch.setattr(closure, "MAX_SCHREIER_BITS", 300)
         with pytest.raises(ResourceLimit, match="exceeded 300 bits"):
-            schreier_generators(sl2_generators(), lambda g: True, 3)
+            schreier_generators(sl2_generators(), "all", 3)
 
     def test_negative_length_cap(self):
         with pytest.raises(ValueError, match="length cap"):
-            schreier_generators(sl2_generators(), lambda g: True, 3, length_cap=-1)
+            schreier_generators(sl2_generators(), "all", 3, length_cap=-1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_matrices_as_frozen_reference(self, seed):
+        # seeds 0..5 cover n = 1, 2, 3 with integer and rational entries
+        generators = seeded_schreier_input(seed)
+        for member, predicate in REFERENCE_MEMBERS.items():
+            for index_bound in (1, 2):
+                got = schreier_outcome(schreier_generators, generators, member, index_bound)
+                want = schreier_outcome(
+                    reference_schreier_generators, generators, predicate, index_bound
+                )
+                assert got == want, (member, index_bound)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "name,values",
+        [("MAX_SCHREIER_PRODUCTS", (1, 2, 7, 40, 150)), ("MAX_SCHREIER_BITS", (3, 20, 150, 900, 4000))],
+    )
+    def test_same_budget_messages_as_frozen_reference(self, monkeypatch, seed, name, values):
+        # besides the fixed values, the reference's exact total and one less:
+        # the engine must pass at the one and raise at the other
+        generators = seeded_schreier_input(seed)
+        products = reference_schreier_generators(generators, REFERENCE_MEMBERS["all"], 2)
+        total = {
+            "MAX_SCHREIER_PRODUCTS": len(products),
+            "MAX_SCHREIER_BITS": sum(
+                e.numerator.bit_length() + e.denominator.bit_length()
+                for g in products[1:]
+                for e in g.entries
+            ),
+        }[name]
+        for value in (*values, total - 1, total):
+            monkeypatch.setattr(closure, name, value)
+            for member, predicate in REFERENCE_MEMBERS.items():
+                got = schreier_outcome(schreier_generators, generators, member, 2)
+                want = schreier_outcome(reference_schreier_generators, generators, predicate, 2)
+                assert got == want, (value, member)
 
 
 FINITE_GROUPS = [
@@ -1017,6 +1130,22 @@ CERTIFIED_CELLS = [
     ("ROT4", 4, "unimodular"),
     ("ROT6", 4, "rational"),
 ]
+
+
+class TestSchreierAgainstSpan:
+    """Two engine paths count a finite group: the Schreier enumeration with
+    every product kept, and the span at its first certifying degree."""
+
+    ORDERS = {"S3": 6, "ROT4": 4, "ROT6": 6, "SS3": 48}
+
+    @pytest.mark.parametrize("kind", (None, *CONJUGATOR_KINDS))
+    @pytest.mark.parametrize("family", FINITE_FAMILIES)
+    def test_order(self, family, kind):
+        generators = GeneratorSet(FAMILIES[family] if kind is None else _conjugated(family, kind))
+        spans = (lifted_span(generators, d) for d in itertools.count(1))
+        span = next(s for s in spans if s.certifies_finite)
+        order = len(schreier_generators(generators, "all", 1, length_cap=100))
+        assert order == span.dimension == self.ORDERS[family]
 
 
 class TestHilbertCertificate:

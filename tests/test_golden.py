@@ -132,3 +132,23 @@ def test_relations_golden(capsys):
 def test_chain_bounds_golden(capsys):
     got = run_json(capsys, "chain-bounds", "--n", "2")
     assert got == load("chain_bounds_n2.json")
+
+
+def test_schreier_byte_identical(capsys):
+    # exit code, sha256 of stdout and the stderr text of schreier on S3, SL2,
+    # <[[1/2,1],[0,2]], [[1,0],[1/3,1]]>, -I and [[2]] for each member at
+    # index bounds 1..3, one --length-cap run and the [[2]] size-budget exit,
+    # in --format json and text; recorded while the enumeration multiplied
+    # QMatrix products, before it moved to integer records
+    expected = load("schreier_sha256.json")
+    assert len(expected) == 94
+    for entry in expected:
+        code = cli_main(entry["argv"])
+        out, err = capsys.readouterr()
+        got = {
+            "argv": entry["argv"],
+            "exit_code": code,
+            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": err,
+        }
+        assert got == entry

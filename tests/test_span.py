@@ -111,7 +111,7 @@ def reference_lifted_span(generators, d):
     """(words, echelon, number of insertions) of the former BFS."""
     n = generators.n
     m = n * n + 1
-    gens = [_int_element(g, y) for g, y in zip(generators.with_inverses, generators.inverse_dets)]
+    gens = [_int_element(g, ONE / g.det()) for g in generators.with_inverses]
     echelon = ReferenceEchelon(comb(m + d, d))
     identity = _int_element(QMatrix.identity(n), ONE)
     echelon.insert(_scaled_lift(identity, d))
