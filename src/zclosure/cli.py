@@ -2,13 +2,15 @@
 
 Subcommands: closure, invariant, decompose, relations, unipotent-closure,
 bounds, chain-bounds, schreier.  Inputs are JSON files (or inline JSON);
-outputs render as text or JSON via --format.  Exit codes: 0 success, 2 input
-error, 3 resource limit.
+outputs render as text or JSON via --format; the JSON is byte for byte
+json.dumps(payload, indent=2).  Exit codes: 0 success, 1 stdout closed
+before the output was written, 2 input error, 3 resource limit.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .affine import strongest_invariant
@@ -31,6 +33,7 @@ from .errors import ResourceLimit, ZClosureError
 from .jsonio import (
     affine_program_from_json,
     bound_report_to_json,
+    dumps_indented,
     generators_from_json,
     gl_variable_names,
     ideal_to_json,
@@ -267,7 +270,13 @@ def build_parser():
     p = add("schreier", _cmd_schreier, "generators of a finite-index subgroup")
     p.add_argument("--generators", required=True)
     p.add_argument("--index-bound", type=int, required=True)
-    p.add_argument("--member", choices=sorted(SCHREIER_MEMBERS), default="det1")
+    p.add_argument(
+        "--member",
+        choices=sorted(SCHREIER_MEMBERS),
+        default="det1",
+        help="subgroup membership test: det1 (determinant 1), all, or identity; products are "
+        "deduplicated before the test, so identity only ever returns the identity",
+    )
     p.add_argument("--length-cap", type=int)
 
     return parser
@@ -289,14 +298,22 @@ def cli_main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(dumps_indented(payload))
     else:
         print(text)
     return 0
 
 
 def main():
-    sys.exit(cli_main(sys.argv[1:]))
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (as in `| head`); point stdout at devnull so the
+        # flush at interpreter exit does not fail again (Python's SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ nested nodes.  Text renderings of polynomials are round-trippable.
 """
 
 import json
-from fractions import Fraction
 
 from .affine import AffineProgram
 from .bounds import BoundReport
@@ -28,13 +27,15 @@ __all__ = [
     "poly_to_text",
     "tower_to_json",
     "bound_report_to_json",
+    "dumps_indented",
     "affine_program_from_json",
     "SCHEMAS",
 ]
 
 
 def rat_to_str(q) -> str:
-    return str(rat(q))
+    """The wire text of a rational (or int): both backends print "p/q" or "p"."""
+    return str(q)
 
 
 def rat_from_str(s: str):
@@ -82,86 +83,171 @@ def gl_variable_names(n: int):
     return [f"x{i + 1}{j + 1}" for i in range(n) for j in range(n)] + ["y"]
 
 
-def poly_to_json(p: Poly):
-    return [
-        {"coeff": rat_to_str(c), "exps": list(mono)}
-        for mono, c in p.sorted_terms()
-    ]
+def _coeff_terms(p: Poly):
+    """(monomial, coefficient text) of p's terms in descending grevlex order."""
+    return [(mono, str(c)) for mono, c in p.sorted_terms()]
 
 
-def ideal_to_json(ideal: Ideal, names):
-    return {
-        "arity": ideal.arity,
-        "variables": list(names),
-        "generators": [poly_to_json(g) for g in ideal.generators],
-        "text": [poly_to_text(g, names) for g in ideal.generators],
-    }
+def _terms_json(terms):
+    return [{"coeff": c, "exps": list(mono)} for mono, c in terms]
 
 
-def poly_to_text(p: Poly, names) -> str:
-    if not p.terms:
+def _terms_text(terms, names) -> str:
+    if not terms:
         return "0"
     bits = []
-    for mono, c in p.sorted_terms():
-        factors = [
+    for mono, c in terms:
+        body = "*".join(
             names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(mono) if e
-        ]
-        body = "*".join(factors)
-        mag = abs(c)
-        if body and mag == 1:
-            piece = body
-        elif body:
-            piece = f"{rat_to_str(mag)}*{body}"
+        )
+        negative = c[0] == "-"
+        mag = c[1:] if negative else c
+        if body:
+            piece = body if mag == "1" else f"{mag}*{body}"
         else:
-            piece = rat_to_str(mag)
+            piece = mag
         if not bits:
-            bits.append(piece if c > 0 else f"-{piece}")
+            bits.append(f"-{piece}" if negative else piece)
         else:
-            bits.append(f"+ {piece}" if c > 0 else f"- {piece}")
+            bits.append(f"- {piece}" if negative else f"+ {piece}")
     return " ".join(bits)
 
 
-def tower_to_json(t: TowerNumber, memo=None):
-    """The node record of t.  memo maps id(node) to its record, so a subtree
-    shared within one report is rendered once."""
-    memo = {} if memo is None else memo
-    rec = memo.get(id(t))
+def poly_to_json(p: Poly):
+    return _terms_json(_coeff_terms(p))
+
+
+def poly_to_text(p: Poly, names) -> str:
+    return _terms_text(_coeff_terms(p), names)
+
+
+def ideal_to_json(ideal: Ideal, names):
+    """The ideal's record; each generator's terms are sorted and printed once
+    for both its JSON terms and its text."""
+    terms = [_coeff_terms(g) for g in ideal.generators]
+    return {
+        "arity": ideal.arity,
+        "variables": list(names),
+        "generators": [_terms_json(t) for t in terms],
+        "text": [_terms_text(t, names) for t in terms],
+    }
+
+
+def _decimal(v, texts) -> str:
+    """str(v) of a Fraction; texts maps an integer to its digits, so each
+    distinct integer of one report, up to thousands of digits, is converted
+    once."""
+    if v.denominator != 1:
+        return str(v)
+    n = v.numerator
+    text = texts.get(n)
+    if text is None:
+        text = texts[n] = str(n)
+    return text
+
+
+def _tower_record(t: TowerNumber, records, texts):
+    """The node record of t; records maps id(node) to its record, so a
+    subtree shared within one report is rendered once."""
+    rec = records.get(id(t))
     if rec is not None:
         return rec
     if t.kind == "exact":
-        rec = {"kind": "exact", "value": str(Fraction(t.value))}
+        rec = {"kind": "exact", "value": _decimal(t.value, texts)}
     elif t.kind == "pow":
-        rec = {"kind": "pow", "base": tower_to_json(t.base, memo), "exp": tower_to_json(t.exp, memo)}
+        rec = {
+            "kind": "pow",
+            "base": _tower_record(t.base, records, texts),
+            "exp": _tower_record(t.exp, records, texts),
+        }
     elif t.kind == "factorial":
-        rec = {"kind": "factorial", "arg": tower_to_json(t.arg, memo)}
+        rec = {"kind": "factorial", "arg": _tower_record(t.arg, records, texts)}
     elif t.kind == "mul":
         rec = {
             "kind": "mul",
-            "coeff": str(t.coeff),
-            "factors": [tower_to_json(f, memo) for f in t.factors],
+            "coeff": _decimal(t.coeff, texts),
+            "factors": [_tower_record(f, records, texts) for f in t.factors],
         }
     else:
         rec = {
             "kind": "add",
-            "const": str(t.const),
-            "terms": [tower_to_json(x, memo) for x in t.terms],
+            "const": _decimal(t.const, texts),
+            "terms": [_tower_record(x, records, texts) for x in t.terms],
         }
-    memo[id(t)] = rec
+    records[id(t)] = rec
     return rec
 
 
+def tower_to_json(t: TowerNumber):
+    return _tower_record(t, {}, {})
+
+
 def bound_report_to_json(report: BoundReport):
-    bounds, memo = {}, {}
+    bounds, records, texts = {}, {}, {}
     for name, value in report.bounds.items():
         if value.is_exact:
-            bounds[name] = {"form": "exact", "value": str(Fraction(value.value))}
+            bounds[name] = {"form": "exact", "value": _decimal(value.value, texts)}
         else:
             bounds[name] = {
                 "form": "tower",
-                "expr": tower_to_json(value, memo),
+                "expr": _tower_record(value, records, texts),
                 "pretty": value.pretty(),
             }
     return {"params": dict(report.params), "bounds": bounds}
+
+
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def dumps_indented(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, in one flat pass.
+
+    With an indent, json runs its pure-Python encoder, which passes every
+    chunk up through one generator per nesting level; here the chunks go to
+    one list that is joined once.  Strings go through the C escaper json
+    itself uses.  Dict keys must be strings (TypeError otherwise; json would
+    also write numbers, booleans and null as keys), and a reference cycle
+    in obj raises RecursionError where json raises ValueError.
+    """
+    chunks = []
+    _write_indented(obj, chunks.append, "\n")
+    return "".join(chunks)
+
+
+def _write_indented(o, app, newline):
+    """Append the indented JSON of o, at the depth that newline (a line
+    break, then two spaces a level) leads to.  A module-level function: a
+    closure calling itself would be a reference cycle that keeps the chunk
+    list alive until the cyclic collector runs."""
+    if isinstance(o, str):
+        app(_ENCODE_STR(o))
+    elif isinstance(o, dict):
+        if not o:
+            app("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            app(sep + _ENCODE_STR(key) + ": ")
+            _write_indented(value, app, inner)
+            sep = "," + inner
+        app(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            app("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            app(sep)
+            _write_indented(value, app, inner)
+            sep = "," + inner
+        app(newline + "]")
+    elif isinstance(o, int) and not isinstance(o, bool):
+        app(int.__repr__(o))
+    else:
+        # bool, None and float: json's scalar text is the same with or without an indent
+        app(json.dumps(o))
 
 
 def affine_program_from_json(obj) -> AffineProgram:

@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -595,6 +598,29 @@ class TestBoundsCommand:
         )
         assert code == 2
         assert "log_base" in err
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_quietly(self):
+        # a pipe whose reader is gone before the first write, as under `| head`
+        import zclosure
+
+        src = os.path.dirname(os.path.dirname(zclosure.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zclosure.cli", "bounds", "--n", "2", "--height", "5",
+                 "--gens", "3", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 1, stderr
+        assert "Traceback" not in stderr
+        assert stderr == ""
 
 
 class TestChainBoundsCommand:

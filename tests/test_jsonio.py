@@ -1,8 +1,11 @@
+import gc
 import json
+import math
 import random
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zclosure.affine import AffineProgram
 from zclosure.bounds import general_index_bound, chain_bounds, closure_degree_bound
@@ -12,6 +15,7 @@ from zclosure.jsonio import (
     SCHEMAS,
     affine_program_from_json,
     bound_report_to_json,
+    dumps_indented,
     generators_from_json,
     gl_variable_names,
     ideal_to_json,
@@ -197,3 +201,63 @@ class TestAffineProgram:
         assert back.num_vars == 2
         assert back.updates[0][0] == program.updates[0][0]
         assert back.updates[0][1] == program.updates[0][1]
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**60, max_value=10**400).map(lambda k: k * (-1) ** (k % 2))
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F), max_size=5)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestIndentedWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, obj):
+        assert dumps_indented(obj) == json.dumps(obj, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_values)
+    def test_shared_object(self, obj):
+        # one object at two places, as a tower record shared by two bounds
+        doc = {"a": obj, "b": [obj, {"c": obj}], "d": (obj, [])}
+        assert dumps_indented(doc) == json.dumps(doc, indent=2)
+
+    def test_edge_values(self):
+        doc = {
+            "": [{}, [], [[]], {"x": {}}],
+            "é\u2028\x00\"\\": ["\ud83d\ude00", "\x7f\x1f"],
+            "ints": [0, -1, 10**500, -(10**500), True, False, None],
+            "floats": [0.0, -0.0, 1e300, math.nan, math.inf, -math.inf],
+        }
+        assert dumps_indented(doc) == json.dumps(doc, indent=2)
+        for scalar in ("s", 7, 1.5, None, True, [], {}):
+            assert dumps_indented(scalar) == json.dumps(scalar, indent=2)
+
+    def test_refuses_non_string_keys_and_unknown_types(self):
+        with pytest.raises(TypeError):
+            dumps_indented({1: "a key json would write as a string"})
+        with pytest.raises(TypeError):
+            dumps_indented([object()])
+
+    def test_bounds_payload_leaves_no_cycle(self):
+        payload = bound_report_to_json(closure_degree_bound(3, 4, 3))
+        gc.collect()
+        gc.disable()
+        try:
+            text = dumps_indented(payload)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert text == json.dumps(payload, indent=2)
+        assert found == 0
