@@ -2,10 +2,12 @@
 
 Monomials are exponent tuples, polynomials are dicts mapping monomials to
 nonzero coefficients.  Gröbner bases use Buchberger's algorithm with the
-normal selection strategy and both classical pair-pruning criteria, then
-reduce in one pass by ascending leading monomial; MAX_S_PAIRS caps the
-number of treated S-pairs and MAX_GB_DEGREE the total degree of S-pairs
-and of intermediate polynomials in division.
+sugar selection strategy (Giovini, Mora, Niesi, Robbiano & Traverso, "One
+sugar cube, please", ISSAC 1991: the pair of least sugar first, ties by
+lcm in the monomial order, then by index) and both classical pair-pruning
+criteria, then reduce in one pass by ascending leading monomial;
+MAX_S_PAIRS caps the number of treated S-pairs and MAX_GB_DEGREE the total
+degree of S-pairs and of intermediate polynomials in division.
 
 Division keeps its pending terms in a heap, largest first (Monagan & Pearce,
 CASC 2007), and skips the entries of terms that cancelled.  Each divisor's
@@ -470,10 +472,19 @@ def _s_poly(head_f, head_g, lcm):
 def groebner(generators, order=GREVLEX):
     """Reduced Gröbner basis of the given generators under order.
 
-    Deterministic: normal selection strategy (S-pairs by ascending lcm, ties
-    by index), coprime and chain pair pruning, then one reducing, monic pass
-    in (and output sorted by) ascending leading monomial.  Raises
-    ResourceLimit past MAX_S_PAIRS pairs or an S-pair above MAX_GB_DEGREE.
+    Deterministic: sugar selection strategy (S-pairs by ascending sugar,
+    ties by lcm in the order, then by index), coprime and chain pair
+    pruning, then one reducing, monic pass in (and output sorted by)
+    ascending leading monomial.  Raises ResourceLimit past MAX_S_PAIRS pairs
+    or an S-pair above MAX_GB_DEGREE.
+
+    The sugar of an input is its total degree, of an S-pair the degree of
+    its lcm plus the larger excess of its two elements (sugar less the
+    degree of the leading monomial), and a remainder keeps its pair's.  It
+    stands in for the degree the computation would have if the input were
+    homogenized, so under an elimination order the pairs still come
+    roughly by degree; for homogeneous input under grevlex it is the lcm's
+    degree and the schedule is the normal strategy's.
 
     Every basis element is kept as a primitive integer polynomial, a rational
     multiple of the one division over the rationals would give, so each step
@@ -492,19 +503,22 @@ def groebner(generators, order=GREVLEX):
     key = order.key
     heads = _heads(basis, order)
     partners = [set() for _ in heads]  # partners[i]: k with the pair {i, k} popped
-    heap = []  # (key of the lcm, i, j, lcm) per pair, i > j
+    # excess[i]: sugar of element i minus the degree of its leading monomial;
+    # an input's sugar is its total degree
+    excess = [degree - sum(lm) for lm, _, degree, _, _ in heads]
+    heap = []  # (sugar, key of the lcm, i, j, lcm) per pair, i > j
     treated = 0
 
     def push(i, j):
         lcm = tuple(map(max, heads[i][0], heads[j][0]))
-        heapq.heappush(heap, (key(lcm), i, j, lcm))
+        heapq.heappush(heap, (sum(lcm) + max(excess[i], excess[j]), key(lcm), i, j, lcm))
 
     for i in range(len(heads)):
         for j in range(i):
             push(i, j)
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        sugar, _, i, j, lcm = heapq.heappop(heap)
         partners[i].add(j)  # each pair is pushed once
         partners[j].add(i)
         mask_i, mask_j = heads[i][1], heads[j][1]
@@ -527,8 +541,10 @@ def groebner(generators, order=GREVLEX):
             )
         r = _reduce(_s_poly(heads[i], heads[j], lcm), heads, order)[0]
         if r:
-            heads.append(_head(next(iter(r)), _primitive(r)))
+            lm = next(iter(r))
+            heads.append(_head(lm, _primitive(r)))
             partners.append(set())
+            excess.append(sugar - sum(lm))  # the remainder keeps its pair's sugar
             new = len(heads) - 1
             for k in range(new):
                 push(new, k)

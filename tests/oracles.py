@@ -4,16 +4,18 @@ None of these is engine code: each recomputes what the engine computes
 another way (power products instead of the engine's integer lift, a dense
 lift operator, a substitution by the inverse matrix, interpolation on the
 enumerated elements of a finite group), or drives the engine's answers from
-outside (random words, random program runs).  The wire-format readers and
-writers at the end serve only the tests: the CLI reads rationals, matrices,
-generator sets and affine programs, never polynomials, towers or reports.
+outside (random words, random program runs, the elimination input of an
+invariant).  The wire-format readers and writers at the end serve only the
+tests: the CLI reads rationals, matrices, generator sets and affine
+programs, never polynomials, towers or reports.
 """
 
 import re
 from fractions import Fraction
 
+from zclosure.affine import affine_to_generators
 from zclosure.bounds import BoundReport
-from zclosure.closure import gl_embed, monomial_basis
+from zclosure.closure import gl_embed, invariants_up_to_degree, monomial_basis
 from zclosure.jsonio import matrix_to_json, rat_from_str, rat_to_str
 from zclosure.linalg import QMatrix
 from zclosure.poly import GREVLEX, Ideal, Poly
@@ -112,6 +114,35 @@ def run_program(program, start, steps, rng):
         ]
         trail.append(tuple(state))
     return trail
+
+
+def invariant_elimination_generators(program, d):
+    """(generators, k): what strongest_invariant(program, d) eliminates the
+    first k variables from, written out term by term.
+
+    The variables are the k = (n+1)² + 1 coordinates of the homogenized
+    matrix M (row by row, then y), the current state x and the initial
+    state x0.  The generators are the degree-d closure ideal's, padded into
+    the larger ring, and for each i the action equation
+    x_i − M[i][n] − Σ_j M[i][j]·x0_j.
+    """
+    n = program.num_vars
+    k = (n + 1) ** 2 + 1
+    total = k + 2 * n
+    closure = invariants_up_to_degree(affine_to_generators(program), d)
+    gens = [f.map_variables(total, range(k)) for f in closure.ideal.generators]
+
+    def mono(*variables):
+        exps = [0] * total
+        for v in variables:
+            exps[v] = 1
+        return tuple(exps)
+
+    for i in range(n):
+        terms = {mono(k + i): 1, mono(i * (n + 1) + n): -1}
+        terms.update({mono(i * (n + 1) + j, k + n + j): -1 for j in range(n)})
+        gens.append(Poly(total, terms))
+    return gens, k
 
 
 def perm_matrix(p):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,10 +13,10 @@ from zclosure.closure import implicitize
 from zclosure import poly
 from zclosure.errors import NonInvertibleUpdate, ResourceLimit
 from zclosure.linalg import QMatrix
-from zclosure.poly import GREVLEX, Poly, groebner, ideal_member
+from zclosure.poly import GREVLEX, Ideal, Poly, eliminate, groebner, ideal_member
 from zclosure._rat import rat
 
-from oracles import run_program
+from oracles import enumerate_group, invariant_elimination_generators, run_program
 
 
 def qm(rows):
@@ -110,14 +111,48 @@ class TestStrongestInvariant:
 
     def test_pair_schedule_on_conjugated_rotation(self, monkeypatch):
         # [[0, -1], [1, 0]] conjugated by [[2, 1], [1, 1]]: its elimination
-        # treats exactly 233 S-pairs, so a change in pair selection or pruning
-        # shows as a raise or as a different basis
+        # treats exactly 94 S-pairs by sugar (233 by the normal strategy), so
+        # a change in pair selection or pruning shows as a raise or as a
+        # different basis
         program = AffineProgram(2, [(qm([[-3, -2], [5, 3]]), [rat(0), rat(0)])])
-        monkeypatch.setattr(poly, "MAX_S_PAIRS", 233)
+        monkeypatch.setattr(poly, "MAX_S_PAIRS", 94)
         assert len(strongest_invariant(program, 2).generators) == 6
-        monkeypatch.setattr(poly, "MAX_S_PAIRS", 232)
-        with pytest.raises(ResourceLimit, match="^S-pair budget 232 exceeded$"):
+        monkeypatch.setattr(poly, "MAX_S_PAIRS", 93)
+        with pytest.raises(ResourceLimit, match="^S-pair budget 93 exceeded$"):
             strongest_invariant(program, 2)
+
+    def test_elimination_input_is_written_out(self):
+        # the ideal the oracles build is the one strongest_invariant eliminates from
+        program = AffineProgram(2, [(qm([[-3, -2], [5, 3]]), [rat(0), rat(0)])])
+        gens, k = invariant_elimination_generators(program, 2)
+        assert (len(gens), gens[0].arity, k) == (12, 14, 10)
+        expected = strongest_invariant(program, 2).groebner()
+        assert eliminate(Ideal(14, gens), k).groebner() == expected
+
+    def test_permutation_program_in_three_variables(self):
+        # {x := (x2, x1, x3), x := (x1, x3, x2)} generates S3 acting on the
+        # coordinates; by the normal strategy its elimination made 909
+        # reductions and took 25 s
+        swaps = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]]
+        program = AffineProgram(3, [(qm(a), [rat(0)] * 3) for a in swaps])
+        start = time.perf_counter()
+        ideal = strongest_invariant(program, 2)
+        assert time.perf_counter() - start < 10
+        rng = random.Random(53)
+        group = enumerate_group([qm(a) for a in swaps], 3, 7)
+        assert len(group) == 6
+        for _ in range(5):
+            x0 = [rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+            for sigma in group:
+                state = [sum((sigma[i, j] * x0[j] for j in range(3)), rat(0)) for i in range(3)]
+                assert all(g.evaluate(state + x0) == 0 for g in ideal.generators)
+
+        def elementary(v):
+            return [v[0] + v[1] + v[2], v[0] * v[1] + v[0] * v[2] + v[1] * v[2], v[0] * v[1] * v[2]]
+
+        x = [Poly.variable(i, 6) for i in range(6)]
+        for current, initial in zip(elementary(x[:3]), elementary(x[3:])):
+            assert ideal_member(current - initial, ideal)
 
     def test_soundness_random_executions(self):
         programs = [

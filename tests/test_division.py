@@ -1,6 +1,8 @@
 """Heap division and masked Buchberger against frozen copies of the former
 max-scan `_divide` and `groebner`: remainders and reduced bases must be equal,
-term for term, under grevlex, lex and the elimination orders."""
+term for term, under grevlex, lex and the elimination orders.  The copy of
+`groebner` selects pairs by sugar, as the engine does, or by the normal
+strategy it was frozen with."""
 
 import heapq
 import random
@@ -8,9 +10,13 @@ import random
 import pytest
 
 from zclosure import poly
+from zclosure.affine import AffineProgram
 from zclosure.errors import ResourceLimit
+from zclosure.linalg import QMatrix
 from zclosure.poly import GREVLEX, LEX, Poly, elimination_order, groebner, normal_form
 from zclosure._rat import ONE, ZERO, rat
+
+from oracles import invariant_elimination_generators
 
 ORDERS = [GREVLEX, LEX, elimination_order(1), elimination_order(2), elimination_order(3)]
 ORDER_IDS = ["grevlex", "lex", "elim1", "elim2", "elim3"]
@@ -76,9 +82,13 @@ def reference_s_poly(head_f, head_g):
     return mf * f - mg * g
 
 
-def reference_groebner(generators, order, counts=None):
+def reference_groebner(generators, order, counts=None, strategy="sugar"):
     """counts, when given, receives the number of S-pairs treated and of
-    pairs pruned by each criterion (the only addition to the frozen copy)."""
+    pairs pruned by each criterion.  strategy picks the pair selection:
+    "sugar" (Giovini et al., ISSAC 1991: the least sugar first, then the
+    least lcm) as the engine does, or "normal" (the least lcm first), the
+    frozen copy's own.  Ties go to the lower index pair either way.  These
+    two are the only additions to the frozen copy."""
     if counts is not None:
         counts.update(treated=0, coprime=0, chain=0)
     basis = [g for g in generators if g]
@@ -89,11 +99,21 @@ def reference_groebner(generators, order, counts=None):
         return [Poly.const(arity, 1)]
     heads = [(g.leading(order), g) for g in basis]
     lead = [lm for (lm, _), _ in heads]
+    # the sugar of an input is its total degree; of a remainder, its pair's
+    sugar = [g.total_degree() for g in basis]
     heap = []
     done = set()
 
+    def pair_sugar(i, j):
+        lcm = _mono_lcm(lead[i], lead[j])
+        return max(sugar[k] + sum(lcm) - sum(lead[k]) for k in (i, j))
+
     def push(i, j):
-        heapq.heappush(heap, (order.key(_mono_lcm(lead[i], lead[j])), i, j))
+        lcm_key = order.key(_mono_lcm(lead[i], lead[j]))
+        if strategy == "sugar":
+            heapq.heappush(heap, (pair_sugar(i, j), lcm_key, i, j))
+        else:
+            heapq.heappush(heap, (lcm_key, i, j))
 
     for i in range(len(heads)):
         for j in range(i):
@@ -111,7 +131,7 @@ def reference_groebner(generators, order, counts=None):
         return False
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        i, j = heapq.heappop(heap)[-2:]
         done.add((i, j))
         lcm = _mono_lcm(lead[i], lead[j])
         if _mono_mul(lead[i], lead[j]) == lcm:
@@ -127,6 +147,7 @@ def reference_groebner(generators, order, counts=None):
         r = reference_divide(reference_s_poly(heads[i], heads[j]), heads, order)
         if r:
             head = r.leading(order)
+            sugar.append(pair_sugar(i, j))
             heads.append((head, r))
             lead.append(head[0])
             new = len(heads) - 1
@@ -261,6 +282,25 @@ def test_same_pairs_treated(order, monkeypatch):
             with pytest.raises(ResourceLimit, match=f"^S-pair budget {treated - 1} exceeded$"):
                 groebner(gens, order)
     assert pruned["coprime"] and pruned["chain"]
+
+
+def test_sugar_treats_fewer_pairs_than_normal_strategy(monkeypatch):
+    # the elimination behind the invariant of [[0, -1], [1, 0]] conjugated
+    # by [[2, 1], [1, 1]]: 10 closure generators and 2 action equations in
+    # 14 variables, under an order that is not degree-compatible
+    rotation = QMatrix.from_rows([[rat(-3), rat(-2)], [rat(5), rat(3)]])
+    gens, k = invariant_elimination_generators(AffineProgram(2, [(rotation, [0, 0])]), 2)
+    order = elimination_order(k)
+    normal, sugar = {}, {}
+    expected = reference_groebner(gens, order, normal, strategy="normal")
+    assert len(expected) == 34
+    assert _terms(reference_groebner(gens, order, sugar)) == _terms(expected)
+    assert (normal["treated"], sugar["treated"]) == (233, 94)
+    monkeypatch.setattr(poly, "MAX_S_PAIRS", 94)
+    assert _terms(groebner(gens, order)) == _terms(expected)
+    monkeypatch.setattr(poly, "MAX_S_PAIRS", 93)
+    with pytest.raises(ResourceLimit, match="^S-pair budget 93 exceeded$"):
+        groebner(gens, order)
 
 
 # --- non-unit leading coefficients: fraction-free division scales the

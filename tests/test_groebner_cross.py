@@ -7,8 +7,12 @@ import pytest
 import sympy
 from sympy.polys.orderings import ProductOrder, grevlex as sym_grevlex, lex as sym_lex
 
+from zclosure.affine import AffineProgram
+from zclosure.linalg import QMatrix
 from zclosure.poly import GREVLEX, LEX, Poly, elimination_order, groebner
 from zclosure._rat import rat
+
+from oracles import invariant_elimination_generators
 
 
 def to_sympy(p, ring_gens):
@@ -110,3 +114,23 @@ def test_elimination_orders_match_sympy(k):
         ), (gens, mine, converted)
         assert mine == sorted(mine, key=lambda p: order.key(p.leading(order)[0]))
         checked += mine != [Poly.const(arity, 1)]  # count the proper ideals
+
+
+def test_invariant_elimination_matches_sympy():
+    # the input whose pair schedule sugar moves most: the invariant of
+    # [[0, -1], [1, 0]] conjugated by [[2, 1], [1, 1]] eliminates the 10
+    # matrix coordinates from 10 closure generators and 2 action equations
+    rotation = QMatrix.from_rows([[rat(-3), rat(-2)], [rat(5), rat(3)]])
+    gens, k = invariant_elimination_generators(AffineProgram(2, [(rotation, [0, 0])]), 2)
+    arity = gens[0].arity
+    assert (len(gens), arity, k) == (12, 14, 10)
+    order = elimination_order(k)
+    sym_order = ProductOrder((sym_grevlex, lambda m: m[:k]), (sym_grevlex, lambda m: m[k:]))
+    symbols = sympy.symbols(f"v:{arity}")
+    mine = groebner(gens, order)
+    theirs = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols, order=sym_order)
+    converted = [from_sympy(e, symbols, arity, order) for e in theirs.exprs]
+    assert len(mine) == 34
+    assert sorted(mine, key=lambda p: sorted(p.terms)) == sorted(
+        converted, key=lambda p: sorted(p.terms)
+    )
