@@ -1,13 +1,14 @@
 """Multivariate polynomials over the rationals.
 
 Monomials are exponent tuples, polynomials are dicts mapping monomials to
-nonzero coefficients.  Gröbner bases use Buchberger's algorithm with the
-sugar selection strategy (Giovini, Mora, Niesi, Robbiano & Traverso, "One
-sugar cube, please", ISSAC 1991: the pair of least sugar first, ties by
-lcm in the monomial order, then by index) and both classical pair-pruning
-criteria, then reduce in one pass by ascending leading monomial;
-MAX_S_PAIRS caps the number of treated S-pairs and MAX_GB_DEGREE the total
-degree of S-pairs and of intermediate polynomials in division.
+nonzero coefficients; the univariate polynomials of the structure theory are
+coefficient lists in structure.py instead.  Gröbner bases use Buchberger's
+algorithm with the sugar selection strategy (Giovini, Mora, Niesi, Robbiano
+& Traverso, "One sugar cube, please", ISSAC 1991: the pair of least sugar
+first, ties by lcm in the monomial order, then by index) and both classical
+pair-pruning criteria, then reduce in one pass by ascending leading
+monomial; MAX_S_PAIRS caps the number of treated S-pairs and MAX_GB_DEGREE
+the total degree of S-pairs and of intermediate polynomials in division.
 
 Division keeps its pending terms in a heap, largest first (Monagan & Pearce,
 CASC 2007), and skips the entries of terms that cancelled.  Each divisor's
@@ -45,9 +46,6 @@ __all__ = [
     "eliminate",
     "ideal_member",
     "ideal_equal",
-    "uni_divmod",
-    "uni_gcd",
-    "derivative",
 ]
 
 
@@ -654,63 +652,3 @@ def ideal_equal(a, b):
     if a.generators == b.generators:
         return True
     return a.groebner(GREVLEX) == b.groebner(GREVLEX)
-
-
-# ---------------------------------------------------------------------------
-# univariate helpers (arity-1 Poly)
-
-
-def _uni_coeffs(p):
-    d = p.total_degree()
-    out = [ZERO] * (d + 1)
-    for (e,), c in p.terms.items():
-        out[e] = c
-    return out
-
-
-def uni_from_coeffs(coeffs):
-    return Poly(1, {(i,): c for i, c in enumerate(coeffs) if c})
-
-
-def uni_divmod(f, g):
-    """Quotient and remainder for univariate f, g with g != 0."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    fc, gc = _uni_coeffs(f), _uni_coeffs(g)
-    dg = len(gc) - 1
-    lead = gc[-1]
-    q = [ZERO] * max(0, len(fc) - dg)
-    r = list(fc)
-    while len(r) - 1 >= dg and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        k = len(r) - 1 - dg
-        factor = r[-1] / lead
-        q[k] = factor
-        for i, c in enumerate(gc):
-            r[k + i] -= factor * c
-    return uni_from_coeffs(q), uni_from_coeffs(r)
-
-
-def uni_gcd(f, g):
-    """Monic gcd of univariate polynomials."""
-    a, b = f, g
-    while b:
-        a, b = b, uni_divmod(a, b)[1]
-    if not a:
-        return a
-    lead = a.terms[max(a.terms)]
-    return a * (ONE / lead)
-
-
-def derivative(f, var=0):
-    out = {}
-    for m, c in f.terms.items():
-        e = m[var]
-        if e:
-            m2 = list(m)
-            m2[var] = e - 1
-            out[tuple(m2)] = c * e
-    return Poly(f.arity, out)

@@ -7,13 +7,16 @@ matrix arithmetic), rational eigenvalues (roots of that squarefree part mod a
 prime, Newton-lifted p-adically past the root bound and tested exactly),
 truncated logarithm/exponential of unipotents, and polynomial matrices:
 one-parameter subgroups, generic matrices, det, adjugate.
+
+A univariate polynomial is the list of its rational coefficients, constant
+first, with a nonzero last entry (the zero polynomial is []).
 """
 
 import math
 
 from .errors import NotUnipotent, ResourceLimit, SingularMatrix, UnsupportedEigenvalues
 from .linalg import QMatrix
-from .poly import Poly, derivative, uni_divmod, uni_gcd
+from .poly import Poly
 from ._rat import ZERO, ONE, rat
 
 __all__ = [
@@ -36,6 +39,12 @@ __all__ = [
 # Residues the rational-root search evaluates: each prime it tries, looking
 # for one at which every root is simple, is charged its size.
 ROOT_RESIDUE_BUDGET = 10**6
+
+# The matrix-product loops (char_poly, min_poly, Horner evaluation and the
+# Newton iteration, the nilpotent power series) and the Euclidean gcd charge
+# each step n times the bits (numerator plus denominator) of its n x n factors
+# or its length-n dividend and divisor; each loop stops past this total.
+STRUCTURE_WORK_BITS = 2 * 10**7
 
 
 class JCDecomposition:
@@ -61,22 +70,68 @@ class JCDecomposition:
         return f"JCDecomposition(semisimple={self.semisimple!r}, unipotent={self.unipotent!r})"
 
 
-def char_poly(g: QMatrix) -> Poly:
-    """Monic characteristic polynomial det(x*I - g), by Faddeev-LeVerrier."""
+def _charged(work, factor, *operands):
+    """work plus factor times the bits of the operands' entries."""
+    bits = sum(e.numerator.bit_length() + e.denominator.bit_length() for x in operands for e in x)
+    work += factor * bits
+    if work > STRUCTURE_WORK_BITS:
+        raise ResourceLimit(f"structure theory exceeded its work budget of {STRUCTURE_WORK_BITS} bits")
+    return work
+
+
+def _trim(c):
+    """c up to its last nonzero coefficient."""
+    return c[: max((i + 1 for i, ci in enumerate(c) if ci), default=0)]
+
+
+def _deriv(c):
+    return [i * ci for i, ci in enumerate(c)][1:]
+
+
+def _divmod(f, g):
+    """Quotient and remainder of f by a nonzero g."""
+    dg = len(g) - 1
+    r = list(f)
+    q = [ZERO] * max(0, len(f) - dg)
+    for k in reversed(range(len(q))):
+        q[k] = factor = r[k + dg] / g[-1]
+        for i, c in enumerate(g):
+            r[k + i] -= factor * c
+    return q, _trim(r[:dg])
+
+
+def _monic_gcd(f, g):
+    work = 0
+    while g:
+        work = _charged(work, len(f), f, g)
+        f, g = g, _divmod(f, g)[1]
+    return [c / f[-1] for c in f]
+
+
+def _squarefree(f):
+    """f over its gcd with f', which has the same roots, each simple."""
+    return _divmod(f, _monic_gcd(f, _deriv(f)))[0]
+
+
+def char_poly(g: QMatrix) -> list:
+    """Monic characteristic polynomial det(x*I - g), by Faddeev-LeVerrier,
+    keeping g M_k so that each step does one matrix product."""
     if not g.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = g.rows
     coeffs = [ONE]  # x^n downwards
-    m = QMatrix.zero(n, n)
-    c = ONE
+    identity = QMatrix.identity(n)
+    gm = QMatrix.zero(n, n)
+    work = 0
     for k in range(1, n + 1):
-        m = g * m + c * QMatrix.identity(n)
-        c = -(g * m).trace() / k
-        coeffs.append(c)
-    return Poly(1, {(n - i,): c for i, c in enumerate(coeffs)})
+        m = gm + coeffs[-1] * identity
+        work = _charged(work, n, g.entries, m.entries)
+        gm = g * m
+        coeffs.append(-gm.trace() / k)
+    return coeffs[::-1]
 
 
-def min_poly(g: QMatrix) -> Poly:
+def min_poly(g: QMatrix) -> list:
     """Monic generator of the annihilating ideal of g.
 
     By Cayley-Hamilton vec(I), vec(g), ..., vec(g^n) are dependent; the first
@@ -86,18 +141,26 @@ def min_poly(g: QMatrix) -> Poly:
     if not g.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = g.rows
-    powers = [QMatrix.identity(n)]
-    for _ in range(n):
-        powers.append(powers[-1] * g)
-    columns = QMatrix(n * n, n + 1, [p.entries[j] for j in range(n * n) for p in powers])
-    coeffs = columns.kernel_basis()[0]
-    return Poly(1, {(i,): coeffs[i, 0] for i in range(n + 1)})
+    powers = _powers(g)
+    columns = QMatrix(n * n, len(powers), [p.entries[j] for j in range(n * n) for p in powers])
+    return _trim(list(columns.kernel_basis()[0].entries))
+
+
+def _powers(m: QMatrix):
+    """I, m, m^2, ... up to m^n or the first zero power (m^k with k <= n for a
+    nilpotent m)."""
+    powers = [QMatrix.identity(m.rows)]
+    work = 0
+    while len(powers) <= m.rows and not powers[-1].is_zero():
+        work = _charged(work, m.rows, powers[-1].entries, m.entries)
+        powers.append(powers[-1] * m)
+    return powers
 
 
 def is_semisimple(g: QMatrix) -> bool:
     """Squarefree minimal polynomial; valid over the perfect field Q."""
     m = min_poly(g)
-    return uni_gcd(m, derivative(m)).total_degree() == 0
+    return len(_monic_gcd(m, _deriv(m))) == 1
 
 
 def is_nilpotent(g: QMatrix) -> bool:
@@ -108,16 +171,19 @@ def is_unipotent(g: QMatrix) -> bool:
     return is_nilpotent(g - QMatrix.identity(g.rows))
 
 
-def eval_poly_at_matrix(p: Poly, g: QMatrix) -> QMatrix:
+def eval_poly_at_matrix(coeffs, g: QMatrix) -> QMatrix:
     """Horner evaluation of a univariate polynomial at a square matrix."""
-    n = g.rows
-    coeffs = [ZERO] * (p.total_degree() + 1)
-    for (e,), c in p.terms.items():
-        coeffs[e] = c
-    acc = QMatrix.zero(n, n)
+    return _horner(coeffs, g, 0)[0]
+
+
+def _horner(coeffs, g, work):
+    """The value of coeffs at g by Horner's rule, and work plus its charge."""
+    identity = QMatrix.identity(g.rows)
+    acc = QMatrix.zero(g.rows, g.rows)
     for c in reversed(coeffs):
-        acc = acc * g + c * QMatrix.identity(n)
-    return acc
+        work = _charged(work, g.rows, acc.entries, g.entries)
+        acc = acc * g + c * identity
+    return acc, work
 
 
 def jordan_chevalley(g: QMatrix) -> JCDecomposition:
@@ -133,15 +199,15 @@ def jordan_chevalley(g: QMatrix) -> JCDecomposition:
     n = g.rows
     if not g.det():
         raise SingularMatrix("Jordan-Chevalley multiplicative form needs det != 0")
-    chi = char_poly(g)
-    f = uni_divmod(chi, uni_gcd(chi, derivative(chi)))[0]
-    fp = derivative(f)
-    a = g
+    f = _squarefree(char_poly(g))
+    fp = _deriv(f)
+    a, work = g, 0
     for _ in range(n + 2):
-        fa = eval_poly_at_matrix(f, a)
+        fa, work = _horner(f, a, work)
         if fa.is_zero():
             break
-        a = a - fa * eval_poly_at_matrix(fp, a).inverse()
+        fpa, work = _horner(fp, a, work)
+        a = a - fa * fpa.inverse()
     else:
         raise AssertionError("Newton iteration failed to converge")
     g_s = a
@@ -153,33 +219,17 @@ def nilpotent_log(u: QMatrix) -> QMatrix:
     """log of a unipotent matrix: the series truncates after n - 1 terms."""
     n = u.rows
     nil = u - QMatrix.identity(n)
-    if not (nil**n).is_zero():
+    if not is_nilpotent(nil):
         raise NotUnipotent("matrix is not unipotent")
-    acc = QMatrix.zero(n, n)
-    power = QMatrix.identity(n)
-    for k in range(1, n):
-        power = power * nil
-        if power.is_zero():
-            break
-        acc = acc + power * (rat((-1) ** (k - 1), k))
-    return acc
+    return sum((p * rat((-1) ** (k - 1), k) for k, p in enumerate(_powers(nil)) if k), QMatrix.zero(n, n))
 
 
 def nilpotent_exp(m: QMatrix) -> QMatrix:
     """exp of a nilpotent matrix, truncated at the nilpotency index."""
     n = m.rows
-    if not (m**n).is_zero():
+    if not is_nilpotent(m):
         raise NotUnipotent("matrix is not nilpotent")
-    acc = QMatrix.identity(n)
-    power = QMatrix.identity(n)
-    fact = 1
-    for k in range(1, n):
-        power = power * m
-        if power.is_zero():
-            break
-        fact *= k
-        acc = acc + power * rat(1, fact)
-    return acc
+    return sum((p * rat(1, math.factorial(k)) for k, p in enumerate(_powers(m))), QMatrix.zero(n, n))
 
 
 class PolyMatrix:
@@ -283,21 +333,13 @@ def one_parameter(h: QMatrix) -> PolyMatrix:
     is h, and addition of parameters corresponds to matrix product.
     """
     n = h.rows
-    log = nilpotent_log(h)  # raises NotUnipotent
-    entries = [Poly.zero(1) for _ in range(n * n)]
-    power = QMatrix.identity(n)
-    fact = 1
-    for k in range(n):
-        if k:
-            power = power * log
-            fact *= k
-            if power.is_zero():
-                break
-        coeff = rat(1, fact)
+    terms = [{} for _ in range(n * n)]
+    for k, power in enumerate(_powers(nilpotent_log(h))):  # raises NotUnipotent
+        coeff = rat(1, math.factorial(k))
         for idx, e in enumerate(power.entries):
             if e:
-                entries[idx] = entries[idx] + Poly(1, {(k,): coeff * e})
-    return PolyMatrix(n, 1, entries)
+                terms[idx][(k,)] = coeff * e
+    return PolyMatrix(n, 1, [Poly(1, t) for t in terms])
 
 
 def rational_eigenvalues(g: QMatrix):
@@ -308,16 +350,12 @@ def rational_eigenvalues(g: QMatrix):
     UnsupportedEigenvalues when a factor of positive degree is left.
     """
     chi = char_poly(g)
-    z = Poly.variable(0, 1)
     roots = []
-    for root in _rational_roots(uni_divmod(chi, uni_gcd(chi, derivative(chi)))[0]):
-        linear = z - Poly.const(1, root)
-        quotient, remainder = uni_divmod(chi, linear)
-        while not remainder:
-            chi = quotient
+    for root in _rational_roots(_squarefree(chi)):
+        while not (step := _divmod(chi, [-root, ONE]))[1]:
+            chi = step[0]
             roots.append(root)
-            quotient, remainder = uni_divmod(chi, linear)
-    if chi.total_degree() > 0:
+    if len(chi) > 1:
         raise UnsupportedEigenvalues(
             "matrix has irrational eigenvalues; the exact engine needs a rational spectrum"
         )
@@ -325,7 +363,7 @@ def rational_eigenvalues(g: QMatrix):
     return roots
 
 
-def _rational_roots(f: Poly):
+def _rational_roots(f):
     """The rational roots of a squarefree univariate polynomial, by p-adic lifting.
 
     Cleared to integer coefficients c with leading coefficient a, a root u/v
@@ -335,11 +373,9 @@ def _rational_roots(f: Poly):
     not dividing a at which every root of f mod p is simple.  Raises
     ResourceLimit once the primes tried sum past ROOT_RESIDUE_BUDGET.
     """
-    denom = math.lcm(*(int(q.denominator) for q in f.terms.values()))
-    c = [0] * (f.total_degree() + 1)  # constant first
-    for (e,), q in f.terms.items():
-        c[e] = int(q * denom)
-    dc = [i * ci for i, ci in enumerate(c)][1:]
+    denom = math.lcm(*(int(q.denominator) for q in f))
+    c = [int(q * denom) for q in f]
+    dc = _deriv(c)
     a = c[-1]
     p = 1
     spent = 0
@@ -364,7 +400,7 @@ def _rational_roots(f: Poly):
         m *= m
         lifted = [(r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m for r in lifted]
     candidates = (rat(s - m if s > m // 2 else s, a) for s in (a * r % m for r in lifted))
-    return [q for q in candidates if not f.evaluate([q])]
+    return [q for q in candidates if not _divmod(f, [-q, ONE])[1]]
 
 
 def _eval_mod(c, x, m):
@@ -379,13 +415,6 @@ def companion_matrix(coeffs):
     """Companion matrix of the monic polynomial x^n + c_{n-1} x^{n-1} + ... + c_0."""
     coeffs = [rat(c) for c in coeffs]
     n = len(coeffs)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            if j == n - 1:
-                entries.append(-coeffs[i])
-            elif i == j + 1:
-                entries.append(ONE)
-            else:
-                entries.append(ZERO)
-    return QMatrix(n, n, entries)
+    return QMatrix(n, n, [
+        -coeffs[i] if j == n - 1 else ONE if i == j + 1 else ZERO for i in range(n) for j in range(n)
+    ])

@@ -274,6 +274,21 @@ class TestDecomposeCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["decompose", "relations"])
+    def test_large_matrix_hits_structure_work_budget(self, capsys, command):
+        # a seeded 48 x 48 matrix of digits: unbudgeted, decompose answered
+        # after 87 s; the Faddeev-LeVerrier products trip the budget
+        rng = random.Random(48)
+        matrix = [[str(rng.randint(-9, 9)) for _ in range(48)] for _ in range(48)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--matrix", json.dumps(matrix))
+        assert (code, out) == (3, "")
+        assert err == (
+            "resource limit: structure theory exceeded its work budget of "
+            f"{structure.STRUCTURE_WORK_BITS} bits\n"
+        )
+        assert time.perf_counter() - start < 10
+
 
 @pytest.mark.parametrize(
     "argv, message",

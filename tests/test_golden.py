@@ -152,3 +152,24 @@ def test_schreier_byte_identical(capsys):
             "stderr": err,
         }
         assert got == entry
+
+
+def test_structure_byte_identical(capsys):
+    # exit code and sha256 of stdout and stderr of decompose, relations
+    # --matrix and unipotent-closure in --format json and text on seeded
+    # inputs with n = 1..5: rational matrices, upper-triangular matrices with
+    # repeated diagonals, companions with irrational spectra, singular and
+    # non-unipotent matrices (exit 2); recorded while char_poly and min_poly
+    # still returned arity-1 Poly values
+    expected = load("structure_sha256.json")
+    assert len(expected) == 898
+    for entry in expected:
+        code = cli_main(entry["argv"])
+        out, err = capsys.readouterr()
+        got = {
+            "argv": entry["argv"],
+            "exit_code": code,
+            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr_sha256": hashlib.sha256(err.encode()).hexdigest(),
+        }
+        assert got == entry

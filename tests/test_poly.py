@@ -12,15 +12,12 @@ from zclosure.poly import (
     Ideal,
     MonomialOrder,
     Poly,
-    derivative,
     elimination_order,
     eliminate,
     groebner,
     ideal_equal,
     ideal_member,
     normal_form,
-    uni_divmod,
-    uni_gcd,
 )
 from zclosure._rat import rat
 
@@ -79,18 +76,6 @@ class TestArithmetic:
         p = x**2 + y
         q = p.subs({0: x + y, 1: y})
         assert q == (x + y) ** 2 + y
-
-    def test_uni_divmod_gcd(self):
-        z = Poly.variable(0, 1)
-        f = (z - 1) ** 2 * (z + 2)
-        g = (z - 1) * (z - 3)
-        q, r = uni_divmod(f, g)
-        assert q * g + r == f
-        assert uni_gcd(f, g) == z - 1
-
-    def test_derivative(self):
-        x, y = vars2()
-        assert derivative(x**3 * y, 0) == 3 * x**2 * y
 
 
 def seeded_poly(rng, arity, terms=6, max_exp=3):

@@ -4,9 +4,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from zclosure.errors import NotUnipotent, SingularMatrix, UnsupportedEigenvalues
+from zclosure import structure
+from zclosure.errors import NotUnipotent, ResourceLimit, SingularMatrix, UnsupportedEigenvalues
 from zclosure.linalg import QMatrix
-from zclosure.poly import Poly, derivative, uni_divmod, uni_gcd
+from zclosure.poly import Poly
 from zclosure.structure import (
     PolyMatrix,
     char_poly,
@@ -33,6 +34,34 @@ def x():
     return Poly.variable(0, 1)
 
 
+Z = sympy.Symbol("z")
+
+
+def to_sympy(c):
+    """The sympy polynomial in Z with coefficients c, constant first."""
+    return sympy.Poly([sympy.Rational(str(q)) for q in reversed(c)] or [0], Z, domain="QQ")
+
+
+def from_sympy(p):
+    """The coefficients of a sympy polynomial or expression in Z, constant
+    first, without trailing zeros."""
+    coeffs = [rat(str(q)) for q in reversed(sympy.Poly(p, Z, domain="QQ").all_coeffs())]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def random_coeffs(rng, degree):
+    """Coefficients of a seeded rational polynomial of the given degree."""
+    coeffs = [rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
+    return coeffs + [rat(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))]
+
+
+def linear_power(root, k):
+    """(z - root)^k, expanded by sympy."""
+    return from_sympy((Z - sympy.Rational(str(root))) ** k)
+
+
 def random_unipotent(rng, n):
     # exp of a random strictly upper triangular nilpotent
     entries = [
@@ -57,15 +86,64 @@ def random_invertible(rng, n, max_height=10):
             return m
 
 
+class TestListPolynomials:
+    """The private coefficient-list helpers against sympy, on seeded random
+    rational polynomials."""
+
+    def test_divmod(self):
+        rng = random.Random(30)
+        for _ in range(200):
+            f = random_coeffs(rng, rng.randint(0, 7))
+            g = random_coeffs(rng, rng.randint(0, 4))
+            q, r = structure._divmod(f, g)
+            assert to_sympy(q) * to_sympy(g) + to_sympy(r) == to_sympy(f)
+            assert len(r) < len(g) and (not r or r[-1])
+            assert (q, r) == tuple(map(from_sympy, sympy.div(to_sympy(f), to_sympy(g))))
+
+    def test_derivative_and_monic_gcd(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            common = to_sympy(random_coeffs(rng, rng.randint(0, 3)))
+            f = from_sympy(common * to_sympy(random_coeffs(rng, rng.randint(0, 4))))
+            g = from_sympy(common * to_sympy(random_coeffs(rng, rng.randint(0, 4))))
+            assert structure._deriv(f) == from_sympy(to_sympy(f).diff(Z))
+            assert structure._monic_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)))
+
+    def test_squarefree_part(self):
+        rng = random.Random(32)
+        for _ in range(100):
+            f = to_sympy([rat(rng.choice([-2, 1, 3]), rng.randint(1, 2))])
+            for _ in range(3):
+                f *= to_sympy(random_coeffs(rng, rng.randint(0, 2))) ** rng.randint(1, 3)
+            f = from_sympy(f)
+            part = structure._squarefree(f)
+            assert part[-1] == f[-1]
+            assert [c / part[-1] for c in part] == from_sympy(sympy.sqf_part(to_sympy(f)))
+
+
 class TestCharPoly:
     def test_identity(self):
-        assert char_poly(QMatrix.identity(2)) == (x() - 1) ** 2
+        assert char_poly(QMatrix.identity(2)) == [1, -2, 1]
 
     def test_diagonal(self):
-        assert char_poly(QMatrix.diagonal([rat(2), rat(3)])) == (x() - 2) * (x() - 3)
+        assert char_poly(QMatrix.diagonal([rat(2), rat(3)])) == [6, -5, 1]
 
     def test_rotation(self):
-        assert char_poly(qm([[0, -1], [1, 0]])) == x() ** 2 + 1
+        assert char_poly(qm([[0, -1], [1, 0]])) == [1, 0, 1]
+
+    def test_against_sympy(self):
+        rng = random.Random(33)
+        for n in range(1, 6):
+            for _ in range(10):
+                g = random_invertible(rng, n)
+                m = sympy.Matrix(n, n, [sympy.Rational(str(e)) for e in g.entries])
+                assert char_poly(g) == [rat(str(c)) for c in reversed(m.charpoly().all_coeffs())]
+
+    def test_companion(self):
+        rng = random.Random(34)
+        for n in range(1, 7):
+            coeffs = [rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            assert char_poly(companion_matrix(coeffs)) == coeffs + [1]
 
     def test_annihilates(self):
         rng = random.Random(21)
@@ -76,14 +154,14 @@ class TestCharPoly:
 
 class TestMinPoly:
     def test_identity(self):
-        assert min_poly(QMatrix.identity(3)) == x() - 1
+        assert min_poly(QMatrix.identity(3)) == [-1, 1]
 
     def test_jordan_block(self):
-        assert min_poly(qm([[2, 1], [0, 2]])) == (x() - 2) ** 2
+        assert min_poly(qm([[2, 1], [0, 2]])) == [4, -4, 1]
 
     def test_repeated_eigenvalue(self):
         g = QMatrix.diagonal([rat(2), rat(2), rat(3)])
-        assert min_poly(g) == (x() - 2) * (x() - 3)
+        assert min_poly(g) == [6, -5, 1]
 
     def test_divides_char_and_annihilates(self):
         rng = random.Random(22)
@@ -91,16 +169,14 @@ class TestMinPoly:
             g = random_invertible(rng, 3, 5)
             m = min_poly(g)
             assert eval_poly_at_matrix(m, g).is_zero()
-            from zclosure.poly import uni_divmod
-
-            assert uni_divmod(char_poly(g), m)[1].is_zero()
+            assert sympy.rem(to_sympy(char_poly(g)), to_sympy(m)).is_zero
 
     @staticmethod
     def check_min_poly(g):
         m = min_poly(g)
-        assert m.terms[(m.total_degree(),)] == 1
+        assert m[-1] == 1
         assert eval_poly_at_matrix(m, g).is_zero()
-        assert uni_divmod(char_poly(g), m)[1].is_zero()
+        assert sympy.rem(to_sympy(char_poly(g)), to_sympy(m)).is_zero
         return m
 
     @settings(max_examples=60, deadline=None)
@@ -116,12 +192,12 @@ class TestMinPoly:
             size,
             [eigenvalue if i == j else (1 if j == i + 1 else 0) for i in range(size) for j in range(size)],
         )
-        assert self.check_min_poly(block) == (x() - eigenvalue) ** size
+        assert self.check_min_poly(block) == linear_power(eigenvalue, size)
         # a direct sum with a smaller block of the same eigenvalue keeps the polynomial
         padded = QMatrix.from_rows(
             [list(block.row(i)) + [0] for i in range(size)] + [[0] * size + [eigenvalue]]
         )
-        assert self.check_min_poly(padded) == (x() - eigenvalue) ** size
+        assert self.check_min_poly(padded) == linear_power(eigenvalue, size)
 
 
 class TestPredicates:
@@ -138,8 +214,8 @@ class TestPredicates:
         # min poly x^2 + 1 has gcd 1 with its derivative 2x
         g = qm([[0, -1], [1, 0]])
         assert is_semisimple(g)
-        m = min_poly(g)
-        assert uni_gcd(m, derivative(m)).total_degree() == 0
+        m = to_sympy(min_poly(g))
+        assert sympy.gcd(m, m.diff(Z)).degree() == 0
 
     def test_nilpotent(self):
         assert is_nilpotent(qm([[0, 1], [0, 0]]))
@@ -179,7 +255,7 @@ class TestJordanChevalley:
     def test_irrational_spectrum_stays_rational(self):
         # companion of x^2 - 2 times a commuting unipotent: outputs rational
         c = companion_matrix([-2, 0])
-        assert char_poly(c) == x() ** 2 - 2
+        assert char_poly(c) == [-2, 0, 1]
         g = c * nilpotent_exp(qm([[0, 0], [0, 0]]))
         d = jordan_chevalley(g)
         assert d.semisimple == c
@@ -322,6 +398,40 @@ class TestPolyMatrix:
         assert generic.minor(1, 0).entries == tuple(
             Poly.variable(v, 9) for v in (1, 2, 7, 8)
         )
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("budget", [83, 84])
+    def test_char_poly_charges_each_product(self, monkeypatch, budget):
+        # g has 12 bits (1 + 1, 2 + 1, 2 + 1, 3 + 1) and I has 6; step 1
+        # charges 2 (12 + 6) for g I, step 2 charges 2 (12 + 12) for
+        # g (g - 5 I), whose entries -4, 2, 3, -1 also have 12 bits
+        monkeypatch.setattr(structure, "STRUCTURE_WORK_BITS", budget)
+        g = qm([[1, 2], [3, 4]])
+        if budget == 84:
+            assert char_poly(g) == [-2, -5, 1]
+        else:
+            with pytest.raises(ResourceLimit, match="work budget of 83 bits"):
+                char_poly(g)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: char_poly(qm([[1, 2], [3, 4]])),
+            lambda: min_poly(qm([[1, 2], [3, 4]])),
+            lambda: eval_poly_at_matrix([1, 1], qm([[1, 2], [3, 4]])),
+            lambda: nilpotent_log(qm([[1, 1], [0, 1]])),
+            lambda: nilpotent_exp(qm([[0, 1], [0, 0]])),
+            lambda: one_parameter(qm([[1, 1], [0, 1]])),
+            lambda: structure._monic_gcd([rat(-1), rat(0), rat(1)], [rat(1), rat(1)]),
+        ],
+        ids=["char_poly", "min_poly", "horner", "log", "exp", "one_parameter", "gcd"],
+    )
+    def test_every_loop_is_charged(self, monkeypatch, call):
+        call()
+        monkeypatch.setattr(structure, "STRUCTURE_WORK_BITS", 0)
+        with pytest.raises(ResourceLimit):
+            call()
 
 
 class TestRationalEigenvalues:
