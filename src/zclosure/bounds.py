@@ -65,8 +65,9 @@ class BoundReport:
 
     def pretty(self):
         lines = ["params: " + ", ".join(f"{k}={v}" for k, v in self.params.items())]
+        memo = {}  # one for the report: a node shared by several bounds is rendered once
         for name, value in self.bounds.items():
-            lines.append(f"  {name} = {value.pretty()}")
+            lines.append(f"  {name} = {value.pretty(memo)}")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -88,8 +89,11 @@ def unipotent_degree_bound(n: int) -> TowerNumber:
 
 def general_index_bound(n: int) -> TowerNumber:
     """(2 [(n^2+D)^(4D^2) + 1]^2)! with D the unipotent degree bound."""
-    _check_n(n)
-    d = unipotent_degree_bound(n)
+    return _general_index(n, unipotent_degree_bound(n))
+
+
+def _general_index(n, d):
+    """general_index_bound(n) from its unipotent degree bound d."""
     power = tower_pow(tower_add(n * n, d), tower_mul(4, d, d))
     inner = tower_mul(2, tower_pow(tower_add(power, 1), 2))
     return tower_fact(inner)
@@ -197,14 +201,18 @@ def schreier_height_bound(n: int, h: int) -> TowerNumber:
     _check_n(n)
     if h < 1:
         raise ValueError("need h >= 1")
+    return _schreier_height(n, h, tower_add(tower_mul(2, general_index_bound(n)), 1))
+
+
+def _schreier_height(n, h, two_j_plus_1):
+    """schreier_height_bound(n, h) from 2 j + 1, j the general index bound,
+    for checked n and h."""
     bits = (n**3 + n * n) * h.bit_length() + (n + 1) * n.bit_length()
     if bits > MAX_SCHREIER_BASE_BITS:
         raise ResourceLimit(
             f"Schreier height base of about {bits} bits exceeds the limit {MAX_SCHREIER_BASE_BITS}"
         )
-    base = h ** (n**3 + n * n) * math.factorial(n) * n
-    exponent = tower_add(tower_mul(2, general_index_bound(n)), 1)
-    return tower_pow(base, exponent)
+    return tower_pow(h ** (n**3 + n * n) * math.factorial(n) * n, two_j_plus_1)
 
 
 def closure_degree_bound(n: int, h: int, s: int, c=1, log_base: int = 2) -> BoundReport:
@@ -215,15 +223,20 @@ def closure_degree_bound(n: int, h: int, s: int, c=1, log_base: int = 2) -> Boun
     its max with the unipotent degree, and the final coset-union bound
     (d+1)^(2^((count+2)(n^2+1) j)) with j the general index bound.
     """
-    _check_n(n)
+    d = unipotent_degree_bound(n)
+    return _closure_degree(n, h, s, c, log_base, d, _general_index(n, d))
+
+
+def _closure_degree(n, h, s, c, log_base, unipotent, jp):
+    """closure_degree_bound(n, h, s, c, log_base) from the unipotent degree
+    bound and the general index bound jp of a checked n."""
     if h < 2 or s < 1:
         raise ValueError("need h >= 2 and s >= 1")
-    jp = general_index_bound(n)
     two_jp_plus_1 = tower_add(tower_mul(2, jp), 1)
     ell = tower_pow(2 * s, two_jp_plus_1)
-    h_prime = schreier_height_bound(n, h)
+    h_prime = _schreier_height(n, h, two_jp_plus_1)
     f = masser_lattice_bound(n, h_prime, c, log_base=log_base)
-    d = tower_max(tower_mul(n, f), unipotent_degree_bound(n))
+    d = tower_max(tower_mul(n, f), unipotent)
     exponent = tower_mul(tower_add(ell, 2), n * n + 1, jp)
     final = tower_pow(tower_add(d, 1), tower_pow(2, exponent))
     return BoundReport(

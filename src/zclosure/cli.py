@@ -17,10 +17,10 @@ from .affine import strongest_invariant
 from .bounds import (
     unipotent_degree_bound,
     semisimple_index_bound,
-    general_index_bound,
     chain_bounds,
     finite_subgroup_order_bound,
-    closure_degree_bound,
+    _closure_degree,
+    _general_index,
 )
 from .closure import (
     SCHREIER_MEMBERS,
@@ -189,11 +189,13 @@ def _cmd_unipotent_closure(args):
 def _cmd_bounds(args):
     n, h, s = args.n, args.height, args.gens
     c = rat(args.constant)
-    report = closure_degree_bound(n, h, s, c, log_base=args.log_base)
+    d = unipotent_degree_bound(n)
+    j = _general_index(n, d)
+    report = _closure_degree(n, h, s, c, args.log_base, d, j)
     report.bounds = {
         "semisimple_index": semisimple_index_bound(n),
-        "unipotent_degree": unipotent_degree_bound(n),
-        "general_index": general_index_bound(n),
+        "unipotent_degree": d,
+        "general_index": j,
         "finite_subgroup_order": finite_subgroup_order_bound(n),
         **report.bounds,
     }

@@ -183,7 +183,7 @@ def tower_to_json(t: TowerNumber):
 
 
 def bound_report_to_json(report: BoundReport):
-    bounds, records, texts = {}, {}, {}
+    bounds, records, texts, pretty = {}, {}, {}, {}
     for name, value in report.bounds.items():
         if value.is_exact:
             bounds[name] = {"form": "exact", "value": _decimal(value.value, texts)}
@@ -191,7 +191,7 @@ def bound_report_to_json(report: BoundReport):
             bounds[name] = {
                 "form": "tower",
                 "expr": _tower_record(value, records, texts),
-                "pretty": value.pretty(),
+                "pretty": value.pretty(pretty),
             }
     return {"params": dict(report.params), "bounds": bounds}
 

@@ -164,7 +164,18 @@ def is_semisimple(g: QMatrix) -> bool:
 
 
 def is_nilpotent(g: QMatrix) -> bool:
-    return (g ** g.rows).is_zero()
+    """g^n = 0.  A nonzero trace, the sum of eigenvalues that are all 0 when
+    g is nilpotent, rules it out at once; else g is squared, each product
+    charged, until the power reaches n or is zero."""
+    if not g.is_square:
+        raise ValueError("power of a non-square matrix")
+    if g.trace():
+        return False
+    power, k, work = g, 1, 0
+    while k < g.rows and not power.is_zero():
+        work = _charged(work, g.rows, power.entries, power.entries)
+        power, k = power * power, 2 * k
+    return power.is_zero()
 
 
 def is_unipotent(g: QMatrix) -> bool:

@@ -4,19 +4,23 @@ A TowerNumber is an exact positive real: either a rational, or a symbolic
 power / factorial / product / sum over other TowerNumbers.  Nodes collapse
 to exact rationals whenever the result stays below DEFAULT_EXACT_BITS
 bits.  Comparisons first try exact values and structural monotone
-reduction (shared subtrees cancel), then decide once on rational interval
-bounds of iterated base-2 logarithms at COMPARE_BITS bits; a pair those
+reduction (shared subtrees cancel), then decide once on interval bounds
+of iterated base-2 logarithms at COMPARE_BITS bits; a pair those
 intervals do not separate stays undecided.  Tower numbers have no order
 or arithmetic operators: tower_cmp reads 0 for an undecided pair, so an
 order built on it would not be one.
 
 The module also provides exact rational upper/lower bounds for ln and log2
-of rationals, used by the Masser-style formulas and the comparisons.  They
-run on integer dyadic endpoints (integers scaled by 2^-p, as in Johansson
-2017, "Arb", IEEE TC 66(8)): the exponent and mantissa of q come from bit
-lengths and shifts, one atanh series runs in fixed point with at least 20
-guard bits below 2^-bits, and each endpoint is rounded outward to 2^-bits
-by a shift.
+of rationals, used by the Masser-style formulas.  They run on integer
+dyadic endpoints (integers scaled by 2^-p, as in Johansson 2017, "Arb",
+IEEE TC 66(8)): the exponent and mantissa of q come from bit lengths and
+shifts, one atanh series runs in fixed point with at least 20 guard bits
+below 2^-bits, and each endpoint is rounded outward to 2^-bits by a shift.
+The comparison intervals run on the same core and stay in ints: an
+endpoint is an int standing for a multiple of 2^-COMPARE_BITS, and a value
+off that grid (an exact leaf, a product, the factorial's log2 e term) is
+carried as an int over its own denominator until it is rounded outward
+onto the grid.
 """
 
 import functools
@@ -48,17 +52,8 @@ DEFAULT_EXACT_BITS = 10**6
 # precision of the leveled log intervals that decide tower comparisons
 COMPARE_BITS = 128
 
-_F = Fraction  # interval endpoints stay in Fraction for exactness bookkeeping
 # working bits below the requested precision; they absorb the series' error
 _GUARD_BITS = 20
-
-
-def _round_down(x, bits: int) -> _F:
-    return _F((x.numerator << bits) // x.denominator, 1 << bits)
-
-
-def _round_up(x, bits: int) -> _F:
-    return _F(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
 def _atanh_fixed(num: int, den: int, p: int):
@@ -86,9 +81,9 @@ def _ln2_fixed(p: int):
     return 2 * lo, 2 * hi
 
 
-def _split_log2(q: _F):
-    """(e, a, b) with e = floor(log2 q) and q / 2^e = a / b in [1, 2)."""
-    a, b = q.numerator, q.denominator
+def _split_log2(a: int, b: int):
+    """(e, a', b') with e = floor(log2(a/b)) and (a/b) / 2^e = a'/b' in [1, 2),
+    for ints a, b > 0."""
     e = a.bit_length() - b.bit_length()
     a, b = (a, b << e) if e >= 0 else (a << -e, b)
     if a < b:
@@ -108,13 +103,30 @@ def _ln_mantissa(a: int, b: int, p: int):
     return 2 * lo, 2 * hi + (1 if rest else 0)
 
 
-def _dyadic(lo: int, hi: int, shift: int, bits: int):
-    """[lo, hi] at scale 2^-(bits + shift), rounded outward to 2^-bits."""
-    return _F(lo >> shift, 1 << bits), _F(-(-hi >> shift), 1 << bits)
+def _outward(lo: int, hi: int, shift: int):
+    """[lo, hi] shifted right by shift bits, rounded outward."""
+    return lo >> shift, -(-hi >> shift)
 
 
-def _ln2_bounds(bits: int):
-    return _dyadic(*_ln2_fixed(bits + _GUARD_BITS), _GUARD_BITS, bits)
+def _ln2_scaled(bits: int):
+    """(lo, hi) ints with lo <= 2^bits ln 2 <= hi."""
+    return _outward(*_ln2_fixed(bits + _GUARD_BITS), _GUARD_BITS)
+
+
+def _log2_scaled(a: int, b: int, bits: int):
+    """(lo, hi) ints with lo <= 2^bits log2(a/b) <= hi, for ints a, b > 0;
+    lo = hi on powers of two.  The values depend on a/b only, not on its
+    representation: log2_bounds and the leveled intervals both run on it."""
+    e, a, b = _split_log2(a, b)
+    if a == b:
+        return e << bits, e << bits
+    p = bits + _GUARD_BITS
+    m_lo, m_hi = _ln_mantissa(a, b, p)
+    ln2_lo, ln2_hi = _ln2_fixed(p)
+    # log2 of the mantissa is ln m / ln 2 in [0, 1): divide outward
+    lo = (e << p) + (m_lo << p) // ln2_hi
+    hi = (e << p) - (-(m_hi << p) // ln2_lo)
+    return _outward(lo, hi, _GUARD_BITS)
 
 
 def ln_bounds(q, bits: int = 64):
@@ -123,8 +135,8 @@ def ln_bounds(q, bits: int = 64):
     if q <= 0:
         raise ValueError("log of a non-positive value")
     if q == 1:
-        return _F(0), _F(0)
-    e, a, b = _split_log2(q)
+        return Fraction(0), Fraction(0)
+    e, a, b = _split_log2(q.numerator, q.denominator)
     # e ln 2 multiplies the error of ln 2 by |e|: carry its bits as guard
     shift = _GUARD_BITS + abs(e).bit_length()
     p = bits + shift
@@ -132,7 +144,8 @@ def ln_bounds(q, bits: int = 64):
     ln2_lo, ln2_hi = _ln2_fixed(p)
     if e < 0:
         ln2_lo, ln2_hi = ln2_hi, ln2_lo
-    return _dyadic(e * ln2_lo + m_lo, e * ln2_hi + m_hi, shift, bits)
+    lo, hi = _outward(e * ln2_lo + m_lo, e * ln2_hi + m_hi, shift)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
 def log2_bounds(q, bits: int = 64):
@@ -140,16 +153,8 @@ def log2_bounds(q, bits: int = 64):
     q = _frac_of(q)
     if q <= 0:
         raise ValueError("log of a non-positive value")
-    e, a, b = _split_log2(q)
-    if a == b:
-        return _F(e), _F(e)
-    p = bits + _GUARD_BITS
-    m_lo, m_hi = _ln_mantissa(a, b, p)
-    ln2_lo, ln2_hi = _ln2_fixed(p)
-    # log2 of the mantissa is ln m / ln 2 in [0, 1): divide outward
-    lo = (e << p) + (m_lo << p) // ln2_hi
-    hi = (e << p) - (-(m_hi << p) // ln2_lo)
-    return _dyadic(lo, hi, _GUARD_BITS, bits)
+    lo, hi = _log2_scaled(q.numerator, q.denominator, bits)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
 def _frac_of(x):
@@ -213,9 +218,10 @@ class TowerNumber:
     def __repr__(self):
         return f"TowerNumber({self.pretty()})"
 
-    def pretty(self):
-        """Human rendering with the up-arrow power notation."""
-        return self._pretty({})
+    def pretty(self, memo=None):
+        """Human rendering with the up-arrow power notation; a memo dict
+        passed to several calls renders a node they share once."""
+        return self._pretty({} if memo is None else memo)
 
     def _pretty(self, memo):
         # memo: id of a node -> its text, so a shared subtree is rendered once
@@ -344,8 +350,14 @@ def tower_max(a, b):
 # ---------------------------------------------------------------------------
 # comparison: structural monotone reduction, then leveled log intervals
 
-_FIT_CAP = Fraction(2) ** 256
-_NEG_SENTINEL = -(Fraction(2) ** 300)
+# A leveled interval (k, lo, hi) holds ints on the grid 2^-COMPARE_BITS:
+# lo / 2^COMPARE_BITS <= log2^k(value) <= hi / 2^COMPARE_BITS, where log2^0
+# is the value itself.
+_ONE = 1 << COMPARE_BITS
+# a level-0 interval whose top exceeds 2^_FIT_BITS is lifted one log2 up
+_FIT_BITS = 256
+# -2^300 on the grid: the lower end of log2 over an interval that reaches 0
+_NEG_SENTINEL = -(1 << (300 + COMPARE_BITS))
 
 
 def tower_cmp(a, b) -> int:
@@ -437,11 +449,8 @@ def _definitely_ge(t, threshold):
         return False
     k, lo, hi = lv
     if k == 0:
-        return lo >= threshold
-    return lo >= 1  # the value is at least 2
-
-
-# leveled interval: (k, lo, hi) bounds log2^k(value); k = 0 bounds the value
+        return lo >= threshold << COMPARE_BITS
+    return lo >= _ONE  # the value is at least 2
 
 
 def _lval(t):
@@ -451,26 +460,37 @@ def _lval(t):
         return None
 
 
+def _log2_interval(lo, hi, den):
+    """Grid bounds of log2 over [lo/den, hi/den]: the sentinel for an end at
+    or below 0, and one log for a point."""
+    if lo == hi > 0:
+        return _log2_scaled(lo, den, COMPARE_BITS)
+    bottom = _log2_scaled(lo, den, COMPARE_BITS)[0] if lo > 0 else _NEG_SENTINEL
+    top = _log2_scaled(hi, den, COMPARE_BITS)[1] if hi > 0 else _NEG_SENTINEL
+    return bottom, top
+
+
 def _lift(lv):
     """Apply one more log2 to a leveled interval."""
     k, lo, hi = lv
-    if lo <= 0:
-        return (k + 1, _NEG_SENTINEL, log2_bounds(hi, COMPARE_BITS)[1] if hi > 0 else _NEG_SENTINEL)
-    return (k + 1, log2_bounds(lo, COMPARE_BITS)[0], log2_bounds(hi, COMPARE_BITS)[1])
+    return (k + 1, *_log2_interval(lo, hi, _ONE))
 
 
-def _normalize(lv):
-    k, lo, hi = lv
-    while hi > _FIT_CAP:
-        k, lo, hi = _lift((k, lo, hi))
-    return (k, _round_down(lo, COMPARE_BITS) if lo > _NEG_SENTINEL else lo, _round_up(hi, COMPARE_BITS))
+def _normalize(lo, hi, den):
+    """The leveled interval of a value in [lo/den, hi/den], for den > 0: at
+    level 0 rounded outward to the grid, or at level 1 when the top exceeds
+    2^_FIT_BITS."""
+    if hi > den << _FIT_BITS:
+        return (1, *_log2_interval(lo, hi, den))
+    return (0, (lo << COMPARE_BITS) // den, -((-hi << COMPARE_BITS) // den))
 
 
 def _lval_inner(t, depth):
     if depth > 12:
         raise ValueError("tower too deep for interval comparison")
     if t.is_exact:
-        return _normalize((0, _frac_of(t.value), _frac_of(t.value)))
+        v = t.value
+        return _normalize(v.numerator, v.numerator, v.denominator)
     if t.kind == "pow":
         lb = _lval_inner(t.base, depth + 1)
         le = _lval_inner(t.exp, depth + 1)
@@ -481,44 +501,49 @@ def _lval_inner(t, depth):
         log_a = _log_of_lval(la)
         # (n/e)^n <= n! <= n^n: log2(n!) in [n (log2 n - log2 e), n log2 n]
         if log_a[0] == 0:
-            ln2_lo, ln2_hi = _ln2_bounds(COMPARE_BITS)
-            log2e_hi = 1 / ln2_lo
-            low_mult = (0, log_a[1] - log2e_hi, log_a[2] - log2e_hi)
+            # log2 e <= 1 / ln 2 <= _ONE / ln2_lo, with ln2_lo on the grid: over
+            # the denominator _ONE ln2_lo it is _ONE^2, and log2 n - log2 e
+            # is bounded below there exactly
+            ln2_lo = _ln2_scaled(COMPARE_BITS)[0]
+            log2e = _ONE * _ONE
+            low_mult = (0, log_a[1] * ln2_lo - log2e, log_a[2] * ln2_lo - log2e)
             if low_mult[1] <= 0:
                 raise ValueError("factorial of a small symbolic argument")
+            low = _lval_mul(la, low_mult, _ONE * ln2_lo)
         else:
             # log2 n is astronomically large; log2^k(log2 n - 1.45) loses
             # at most 1 at the first level and less further up
-            low_mult = (log_a[0], log_a[1] - 1, log_a[2])
-        low, high = _common_level(_lval_mul(la, low_mult), _lval_mul(la, log_a))
+            low = _lval_mul(la, (log_a[0], log_a[1] - _ONE, log_a[2]))
+        low, high = _common_level(low, _lval_mul(la, log_a))
         return _shift_up((low[0], low[1], high[2]))
     if t.kind == "mul":
         parts = [_log_of_lval(_lval_inner(f, depth + 1)) for f in t.factors]
         if t.coeff != 1:
-            c = log2_bounds(t.coeff, COMPARE_BITS)
-            parts.append((0, c[0], c[1]))
+            parts.append((0, *_log2_scaled(t.coeff.numerator, t.coeff.denominator, COMPARE_BITS)))
         total = parts[0]
         for p in parts[1:]:
             total = _lval_add(total, p)
         return _shift_up(total)
-    # add
-    parts = [_lval_inner(x, depth + 1) for x in t.terms]
+    # add: the terms are symbolic, so their sum sits at level >= 1, where the
+    # constant enters lifted once from its exact value
+    total = _lval_inner(t.terms[0], depth + 1)
+    for x in t.terms[1:]:
+        total = _lval_add(total, _lval_inner(x, depth + 1))
     if t.const:
-        parts.append((0, _frac_of(t.const), _frac_of(t.const)))
-    total = parts[0]
-    for p in parts[1:]:
-        total = _lval_add(total, p)
+        c = t.const
+        total = _lval_add(total, (1, *_log2_interval(c.numerator, c.numerator, c.denominator)))
     return total
 
 
-def _log_of_lval(lv):
-    """Leveled interval of log2(x) given one of x."""
+def _log_of_lval(lv, den=_ONE):
+    """Leveled interval of log2(x) given one of x; the ends of a level-0
+    interval may lie over den instead of 2^COMPARE_BITS."""
     k, lo, hi = lv
     if k >= 1:
         return (k - 1, lo, hi)
     if lo <= 0:
         raise ValueError("log of a non-positive interval")
-    return _normalize((0, log2_bounds(lo, COMPARE_BITS)[0], log2_bounds(hi, COMPARE_BITS)[1]))
+    return (0, *_log2_interval(lo, hi, den))
 
 
 def _shift_up(lv):
@@ -540,45 +565,52 @@ def _lval_add(u, v):
     u, v = _common_level(u, v)
     k = u[0]
     if k == 0:
-        return _normalize((0, u[1] + v[1], u[2] + v[2]))
+        return _normalize(u[1] + v[1], u[2] + v[2], _ONE)
     big, small = (u, v) if u[1] >= v[1] else (v, u)
     lo = big[1]
-    if lo >= 0 and small[2] <= lo - 1:
+    if lo >= 0 and small[2] <= lo - _ONE:
         return (k, lo, big[2] + _dominated_margin(k, lo, lo - small[2]))
-    return (k, lo, max(u[2], v[2]) + 1)
+    return (k, lo, max(u[2], v[2]) + _ONE)
 
 
-# an upper bound of log2(1/ln 2) = 0.5288...
-_LOG2_INV_LN2 = Fraction(17, 32)
+# the margin's quantities are ints on the finer grid 2^-_MARGIN_BITS
+_MARGIN_BITS = COMPARE_BITS + 8
+# an upper bound of log2(1/ln 2) = 0.5288...: 17/32
+_LOG2_INV_LN2 = 17 << (_MARGIN_BITS - 5)
 
 
 def _dominated_margin(k, lo, gap):
-    """A power of two in [2^-COMPARE_BITS, 1] bounding log2^k(x + y) - log2^k(x),
-    given 0 <= lo <= X_k and X_k - Y_k >= gap >= 1 (X_j = log2^j x,
-    Y_j = log2^j y).
+    """A power of two in [2^-COMPARE_BITS, 1], on the grid, bounding
+    log2^k(x + y) - log2^k(x), given 0 <= lo <= X_k and X_k - Y_k >= gap >= 1
+    (X_j = log2^j x, Y_j = log2^j y).
 
     The growth is at most min(1, 2^-(X_1 - Y_1) / ln 2) at level 1, and
     log2(a + d) <= log2 a + d / (a ln 2) divides it by X_j ln 2 per level.
     X_j = 2^X_{j+1} and X_j - Y_j = X_j (1 - 2^-(X_{j+1} - Y_{j+1})) carry
-    lower bounds down from level k, rounded down and capped.
+    lower bounds down from level k, rounded down and capped at
+    _MARGIN_BITS.  Each of them is a dyadic with at most _MARGIN_BITS
+    fractional bits, so on that grid the ints are exact.
     """
-    cap = COMPARE_BITS + 8
-    x, g = min(lo, cap), min(gap, cap)
+    cap = _MARGIN_BITS << _MARGIN_BITS
+    finer = _MARGIN_BITS - COMPARE_BITS
+    x, g = min(lo << finer, cap), min(gap << finer, cap)
     log_margin = 0
     for _ in range(k - 1):
         log_margin += _LOG2_INV_LN2 - x  # log2 of 1 / (X_j ln 2), X_j = 2^x
-        x = min(Fraction(2) ** math.floor(x), cap)
-        g = min(x * (1 - Fraction(1, 1 << math.floor(g))), cap)
+        x = min(1 << ((x >> _MARGIN_BITS) + _MARGIN_BITS), cap)
+        g = min(x - (x >> (g >> _MARGIN_BITS)), cap)
     log_margin += min(0, _LOG2_INV_LN2 - g)
-    return Fraction(2) ** max(min(math.ceil(log_margin), 0), -COMPARE_BITS)
+    exponent = -(-log_margin >> _MARGIN_BITS)
+    return 1 << (COMPARE_BITS + max(min(exponent, 0), -COMPARE_BITS))
 
 
-def _lval_mul(u, v):
-    """Product of two leveled intervals interpreted as plain values."""
+def _lval_mul(u, v, v_den=_ONE):
+    """Product of two leveled intervals interpreted as plain values; the ends
+    of a level-0 v may lie over v_den instead of 2^COMPARE_BITS."""
     if u[0] == 0 and v[0] == 0:
-        cands = [u[1] * v[1], u[1] * v[2], u[2] * v[1], u[2] * v[2]]
-        return _normalize((0, min(cands), max(cands)))
-    return _shift_up(_lval_add(_log_of_lval(u), _log_of_lval(v)))
+        cands = (u[1] * v[1], u[1] * v[2], u[2] * v[1], u[2] * v[2])
+        return _normalize(min(cands), max(cands), _ONE * v_den)
+    return _shift_up(_lval_add(_log_of_lval(u), _log_of_lval(v, v_den)))
 
 
 def _cmp_intervals(a, b):

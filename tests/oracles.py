@@ -5,11 +5,14 @@ another way (power products instead of the engine's integer lift, a dense
 lift operator, a substitution by the inverse matrix, interpolation on the
 enumerated elements of a finite group), or drives the engine's answers from
 outside (random words, random program runs, the elimination input of an
-invariant).  The wire-format readers and writers at the end serve only the
+invariant).  The Fraction leveled intervals are the exception: a frozen
+copy of the tower comparison's older code, which its int endpoints must
+equal exactly.  The wire-format readers and writers at the end serve only the
 tests: the CLI reads rationals, matrices, generator sets and affine
 programs, never polynomials, towers or reports.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -225,6 +228,194 @@ def matrix_height(m: QMatrix) -> int:
     if not m.entries:
         return 1
     return max(height(e) for e in m.entries)
+
+
+# ---------------------------------------------------------------------------
+# Leveled log intervals on Fraction endpoints: a frozen copy of the tower
+# comparison layer as it ran before its endpoints became ints, with its own
+# log2 bounds.  fraction_lval(t) is (k, lo, hi) with lo <= log2^k(t) <= hi.
+
+_COMPARE_BITS = 128
+_GUARD_BITS = 20
+_FIT_CAP = Fraction(2) ** 256
+_NEG_SENTINEL = -(Fraction(2) ** 300)
+_LOG2_INV_LN2 = Fraction(17, 32)
+
+
+def _round_down(x, bits):
+    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
+
+
+def _round_up(x, bits):
+    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
+
+
+def _atanh_fixed(num, den, p):
+    t = (num << p) // den
+    num2, den2 = num * num, den * den
+    total = k = 0
+    while t:
+        total += t // (2 * k + 1)
+        t = t * num2 // den2
+        k += 1
+    return total, total + 2 * k + 2
+
+
+def _ln2_fixed(p):
+    lo, hi = _atanh_fixed(1, 3, p)
+    return 2 * lo, 2 * hi
+
+
+def _ln2_bounds(bits):
+    lo, hi = _ln2_fixed(bits + _GUARD_BITS)
+    return Fraction(lo >> _GUARD_BITS, 1 << bits), Fraction(-(-hi >> _GUARD_BITS), 1 << bits)
+
+
+def _log2_bounds(q):
+    """Fraction bounds of log2(q) at _COMPARE_BITS bits; exact on powers of two."""
+    q = Fraction(q)
+    a, b = q.numerator, q.denominator
+    e = a.bit_length() - b.bit_length()
+    a, b = (a, b << e) if e >= 0 else (a << -e, b)
+    if a < b:
+        e, a = e - 1, a << 1
+    if a == b:
+        return Fraction(e), Fraction(e)
+    p = _COMPARE_BITS + _GUARD_BITS
+    m, rest = divmod(a << p, b)
+    one = 1 << p
+    m_lo, m_hi = _atanh_fixed(m - one, m + one, p)
+    m_lo, m_hi = 2 * m_lo, 2 * m_hi + (1 if rest else 0)
+    ln2_lo, ln2_hi = _ln2_fixed(p)
+    lo = (e << p) + (m_lo << p) // ln2_hi
+    hi = (e << p) - (-(m_hi << p) // ln2_lo)
+    bits = 1 << _COMPARE_BITS
+    return Fraction(lo >> _GUARD_BITS, bits), Fraction(-(-hi >> _GUARD_BITS), bits)
+
+
+def fraction_lval(t):
+    """The leveled interval of a tower node, or None where the comparison
+    gives up."""
+    try:
+        return _lval_inner(t, 0)
+    except (OverflowError, ValueError):
+        return None
+
+
+def fraction_cmp_intervals(a, b):
+    """-1 or 1 when the leveled intervals of a and b separate, else None."""
+    la, lb = fraction_lval(a), fraction_lval(b)
+    if la is None or lb is None:
+        return None
+    la, lb = _common_level(la, lb)
+    if la[2] < lb[1]:
+        return -1
+    if lb[2] < la[1]:
+        return 1
+    return None
+
+
+def _lift(lv):
+    k, lo, hi = lv
+    if lo <= 0:
+        return (k + 1, _NEG_SENTINEL, _log2_bounds(hi)[1] if hi > 0 else _NEG_SENTINEL)
+    return (k + 1, _log2_bounds(lo)[0], _log2_bounds(hi)[1])
+
+
+def _normalize(lv):
+    k, lo, hi = lv
+    while hi > _FIT_CAP:
+        k, lo, hi = _lift((k, lo, hi))
+    lo = _round_down(lo, _COMPARE_BITS) if lo > _NEG_SENTINEL else lo
+    return (k, lo, _round_up(hi, _COMPARE_BITS))
+
+
+def _lval_inner(t, depth):
+    if depth > 12:
+        raise ValueError("tower too deep for interval comparison")
+    if t.is_exact:
+        return _normalize((0, t.value, t.value))
+    if t.kind == "pow":
+        lb = _lval_inner(t.base, depth + 1)
+        le = _lval_inner(t.exp, depth + 1)
+        return _shift_up(_lval_mul(le, _log_of_lval(lb)))
+    if t.kind == "factorial":
+        la = _lval_inner(t.arg, depth + 1)
+        log_a = _log_of_lval(la)
+        if log_a[0] == 0:
+            log2e_hi = 1 / _ln2_bounds(_COMPARE_BITS)[0]
+            low_mult = (0, log_a[1] - log2e_hi, log_a[2] - log2e_hi)
+            if low_mult[1] <= 0:
+                raise ValueError("factorial of a small symbolic argument")
+        else:
+            low_mult = (log_a[0], log_a[1] - 1, log_a[2])
+        low, high = _common_level(_lval_mul(la, low_mult), _lval_mul(la, log_a))
+        return _shift_up((low[0], low[1], high[2]))
+    if t.kind == "mul":
+        parts = [_log_of_lval(_lval_inner(f, depth + 1)) for f in t.factors]
+        if t.coeff != 1:
+            parts.append((0, *_log2_bounds(t.coeff)))
+    else:
+        parts = [_lval_inner(x, depth + 1) for x in t.terms]
+        if t.const:
+            parts.append((0, t.const, t.const))
+    total = parts[0]
+    for p in parts[1:]:
+        total = _lval_add(total, p)
+    return _shift_up(total) if t.kind == "mul" else total
+
+
+def _log_of_lval(lv):
+    k, lo, hi = lv
+    if k >= 1:
+        return (k - 1, lo, hi)
+    if lo <= 0:
+        raise ValueError("log of a non-positive interval")
+    return _normalize((0, _log2_bounds(lo)[0], _log2_bounds(hi)[1]))
+
+
+def _shift_up(lv):
+    k, lo, hi = lv
+    return (k + 1, lo, hi)
+
+
+def _common_level(u, v):
+    while u[0] < v[0]:
+        u = _lift(u)
+    while v[0] < u[0]:
+        v = _lift(v)
+    return u, v
+
+
+def _lval_add(u, v):
+    u, v = _common_level(u, v)
+    k = u[0]
+    if k == 0:
+        return _normalize((0, u[1] + v[1], u[2] + v[2]))
+    big, small = (u, v) if u[1] >= v[1] else (v, u)
+    lo = big[1]
+    if lo >= 0 and small[2] <= lo - 1:
+        return (k, lo, big[2] + _dominated_margin(k, lo, lo - small[2]))
+    return (k, lo, max(u[2], v[2]) + 1)
+
+
+def _dominated_margin(k, lo, gap):
+    cap = _COMPARE_BITS + 8
+    x, g = min(lo, cap), min(gap, cap)
+    log_margin = 0
+    for _ in range(k - 1):
+        log_margin += _LOG2_INV_LN2 - x
+        x = min(Fraction(2) ** math.floor(x), cap)
+        g = min(x * (1 - Fraction(1, 1 << math.floor(g))), cap)
+    log_margin += min(0, _LOG2_INV_LN2 - g)
+    return Fraction(2) ** max(min(math.ceil(log_margin), 0), -_COMPARE_BITS)
+
+
+def _lval_mul(u, v):
+    if u[0] == 0 and v[0] == 0:
+        cands = [u[1] * v[1], u[1] * v[2], u[2] * v[1], u[2] * v[2]]
+        return _normalize((0, min(cands), max(cands)))
+    return _shift_up(_lval_add(_log_of_lval(u), _log_of_lval(v)))
 
 
 def generators_to_json(gens):

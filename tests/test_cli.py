@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -15,7 +16,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zclosure import linalg, structure
+from zclosure import bounds, cli, linalg, structure, tower
 from zclosure.cli import cli_main
 from zclosure.jsonio import SCHEMAS
 
@@ -576,6 +577,25 @@ class TestUnipotentClosureCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("trace_zero", [False, True], ids=["trace", "trace-zero"])
+    def test_large_non_unipotent_matrix(self, capsys, trace_zero):
+        # a seeded 96 x 96 matrix of digits: squaring it unbudgeted took 35 s
+        # before the exit 2; a nonzero trace of h - I rejects at once, and
+        # with trace zero the charged squarings trip the budget
+        rng = random.Random(96)
+        matrix = [[rng.randint(-9, 9) for _ in range(96)] for _ in range(96)]
+        if trace_zero:
+            matrix[0][0] += 96 - sum(matrix[i][i] for i in range(96))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "unipotent-closure", "--matrices", json.dumps([[[str(x) for x in row] for row in matrix]])
+        )
+        if trace_zero:
+            assert code in (2, 3) and time.perf_counter() - start < 10
+        else:
+            assert (code, err) == (2, "error: matrix is not unipotent\n")
+            assert time.perf_counter() - start < 2
+
 
 class TestBoundsCommand:
     def test_golden_j(self, capsys):
@@ -605,6 +625,27 @@ class TestBoundsCommand:
         assert "Traceback" not in err
         assert time.perf_counter() - start < 2
 
+
+    def test_shared_bounds_built_once(self, capsys, monkeypatch):
+        # one report builds the unipotent degree bound and the general index
+        # bound once each, and compares towers once; perfbench's tracer
+        # counts tower_cmp through the tower module's name
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for module in (bounds, cli):
+            for name in ("unipotent_degree_bound", "_general_index"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(tower, "tower_cmp", counted("tower_cmp", tower.tower_cmp))
+        code, out, err = run(capsys, "bounds", "--n", "3", "--height", "2", "--gens", "2", "--format", "json")
+        assert code == 0
+        assert counts == {"unipotent_degree_bound": 1, "_general_index": 1, "tower_cmp": 1}
 
     @pytest.mark.parametrize("base", ["1", "0", "-2"])
     def test_log_base_below_two(self, capsys, base):

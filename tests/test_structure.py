@@ -221,6 +221,20 @@ class TestPredicates:
         assert is_nilpotent(qm([[0, 1], [0, 0]]))
         assert not is_nilpotent(QMatrix.identity(2))
 
+    def test_nilpotent_matches_the_nth_power(self):
+        # strictly upper triangular matrices conjugated by a unimodular base
+        # are nilpotent; trace-zero ones with a nonzero diagonal need not be
+        rng = random.Random(60)
+        for n in range(1, 8):
+            base = qm([[1 if i == j else rng.randint(-2, 2) * (i < j) for j in range(n)] for i in range(n)])
+            for _ in range(6):
+                upper = [[rng.randint(-3, 3) * (i < j) for j in range(n)] for i in range(n)]
+                shifted = [row[:] for row in upper]
+                shifted[0][0], shifted[-1][-1] = 1, -1
+                for rows in (upper, shifted):
+                    g = base * qm(rows) * base.inverse()
+                    assert is_nilpotent(g) == (g**n).is_zero(), (n, rows)
+
 
 class TestJordanChevalley:
     def test_semisimple_fixed(self):
@@ -424,14 +438,20 @@ class TestWorkBudget:
             lambda: nilpotent_exp(qm([[0, 1], [0, 0]])),
             lambda: one_parameter(qm([[1, 1], [0, 1]])),
             lambda: structure._monic_gcd([rat(-1), rat(0), rat(1)], [rat(1), rat(1)]),
+            lambda: is_nilpotent(qm([[1, 1], [-1, -1]])),
         ],
-        ids=["char_poly", "min_poly", "horner", "log", "exp", "one_parameter", "gcd"],
+        ids=["char_poly", "min_poly", "horner", "log", "exp", "one_parameter", "gcd", "nilpotent"],
     )
     def test_every_loop_is_charged(self, monkeypatch, call):
         call()
         monkeypatch.setattr(structure, "STRUCTURE_WORK_BITS", 0)
         with pytest.raises(ResourceLimit):
             call()
+
+
+    def test_nonzero_trace_is_not_nilpotent_without_work(self, monkeypatch):
+        monkeypatch.setattr(structure, "STRUCTURE_WORK_BITS", 0)
+        assert not is_nilpotent(qm([[1, 1], [0, 0]]))
 
 
 class TestRationalEigenvalues:

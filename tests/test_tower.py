@@ -1,17 +1,21 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import bound_report_from_json, fraction_cmp_intervals, fraction_lval
 from zclosure import tower
+from zclosure.cli import cli_main
 from zclosure.tower import (
     _lift,
     _lval_add,
     _normalize,
-    _ln2_bounds,
+    _ln2_scaled,
     DEFAULT_EXACT_BITS,
     TowerNumber,
     ln_bounds,
@@ -99,7 +103,7 @@ def _log_arguments():
 
 
 class TestLogEnclosure:
-    """ln_bounds, log2_bounds and _ln2_bounds enclose the value certified by
+    """ln_bounds, log2_bounds and _ln2_scaled enclose the value certified by
     mpmath intervals at 2000 bits, and are at most 2 ulps wide at bits."""
 
     @pytest.mark.parametrize("bits", [16, 64, 128])
@@ -117,9 +121,9 @@ class TestLogEnclosure:
             lo, hi = log2_bounds(q, bits)
             assert lo <= true_lo and true_hi <= hi and hi - lo <= ulps2, q
         true_lo, true_hi = _ln_enclosure(Fraction(2), 2000)
-        lo, hi = _ln2_bounds(bits)
+        assert all(isinstance(x, int) for x in _ln2_scaled(bits))
+        lo, hi = (Fraction(x, 1 << bits) for x in _ln2_scaled(bits))
         assert lo <= true_lo and true_hi <= hi and hi - lo <= ulps2
-        assert (lo * (1 << bits)).denominator == (hi * (1 << bits)).denominator == 1
 
     def test_fixed_point_kernel_encloses(self):
         # the atanh series' own bound, before any guard bits are shifted off
@@ -294,7 +298,7 @@ def _iterated_log2_enclosure(value: Fraction, k: int, prec: int):
 
 
 def _leveled(value: Fraction, k: int):
-    lv = _normalize((0, value, value))
+    lv = _normalize(value.numerator, value.numerator, value.denominator)
     while lv[0] < k:
         lv = _lift(lv)
     return lv
@@ -320,5 +324,75 @@ class TestLeveledSum:
         # log2^3(2^16 + 16) = 2 + 2^-16.4: a fixed 2^-20 margin is too small
         x, y, k = case
         level, lo, hi = _lval_add(_leveled(x, k), _leveled(y, k))
+        lo, hi = Fraction(lo, 1 << tower.COMPARE_BITS), Fraction(hi, 1 << tower.COMPARE_BITS)
         true_lo, true_hi = _iterated_log2_enclosure(x + y, level, 2 * tower.COMPARE_BITS + 64)
         assert lo <= true_hi and true_lo <= hi
+
+
+def _grid_nodes(capsys):
+    """The distinct nodes of the 140 bound reports the golden grid pins."""
+    argvs = json.loads((Path(__file__).parent / "fixtures" / "v1" / "bounds_grid_sha256.json").read_text())
+    nodes = {}
+
+    def walk(t):
+        if t.key() not in nodes:
+            nodes[t.key()] = t
+            for child in (t.base, t.exp, t.arg, *(t.factors or ()), *(t.terms or ())):
+                if child is not None:
+                    walk(child)
+
+    for argv in argvs:
+        assert cli_main([*argv.split(), "--format", "json"]) == 0
+        for value in bound_report_from_json(json.loads(capsys.readouterr().out)).bounds.values():
+            walk(value)
+    return list(nodes.values())
+
+
+def _random_tower(rng, depth):
+    """A seeded pow / factorial / mul / add tower over integer, rational and
+    dyadic leaves, tiny and huge ones included."""
+    if depth == 0 or rng.random() < 0.2:
+        r = rng.random()
+        if r < 0.5:
+            return tower_exact(rng.randint(1, 10 ** rng.randint(1, 30)))
+        if r < 0.8:
+            return tower_exact(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+        return tower_exact(Fraction(2) ** rng.randint(-300, 400) * rng.choice([1, 3, Fraction(1, 3)]))
+    op = rng.choice(["pow", "pow", "factorial", "mul", "add"])
+    if op == "pow":
+        return tower_pow(_random_tower(rng, depth - 1), _random_tower(rng, depth - 1))
+    if op == "factorial":
+        arg = _random_tower(rng, depth - 1)
+        return tower_fact(tower_exact(rng.randint(10**5, 10**12)) if arg.is_exact else arg)
+    xs = [_random_tower(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    return (tower_mul if op == "mul" else tower_add)(*xs)
+
+
+def _as_fractions(lv):
+    if lv is None:
+        return None
+    k, lo, hi = lv
+    return k, Fraction(lo, 1 << tower.COMPARE_BITS), Fraction(hi, 1 << tower.COMPARE_BITS)
+
+
+class TestFractionParity:
+    """The int leveled intervals equal, endpoint for endpoint, those of the
+    frozen Fraction code in oracles.py, and decide every pair the same way."""
+
+    def _check(self, nodes, pairs):
+        for t in nodes:
+            assert _as_fractions(tower._lval(t)) == fraction_lval(t), t
+        for a, b in pairs:
+            assert tower._cmp_intervals(a, b) == fraction_cmp_intervals(a, b), (a, b)
+
+    def test_grid_report_nodes(self, capsys):
+        nodes = _grid_nodes(capsys)
+        assert len(nodes) > 400
+        rng = random.Random(31)
+        self._check(nodes, [(rng.choice(nodes), rng.choice(nodes)) for _ in range(500)])
+
+    def test_random_towers(self):
+        rng = random.Random(131)
+        nodes = [_random_tower(rng, rng.randint(1, 4)) for _ in range(800)]
+        assert {t.kind for t in nodes} == {"exact", "pow", "factorial", "mul", "add"}
+        self._check(nodes, [(rng.choice(nodes), rng.choice(nodes)) for _ in range(800)])
